@@ -6,7 +6,16 @@ like, where the detection threshold sits, and what the detector reports.
 
 import numpy as np
 
-from rankseg import DetectorConfig, Norm, StopRule, aggregate, detect, threshold
+from rankseg import (
+    CusumTable,
+    DetectorConfig,
+    Norm,
+    StopRule,
+    detect,
+    full_points,
+    norm_value,
+    threshold,
+)
 
 rng = np.random.default_rng(7)
 
@@ -14,12 +23,15 @@ rng = np.random.default_rng(7)
 x = np.concatenate([rng.normal(0.0, 1.0, 120), rng.normal(2.0, 1.0, 120)])
 T = len(x)
 
-# The aggregated contrast over the whole series peaks near the true change.
-profile = aggregate(x, 1, T, Norm.LINF)
-peak = 1 + int(np.argmax(profile.values))
+# Row b of the contrast matrix compares the ECDFs of X_1..X_b and
+# X_{b+1}..X_T at every data value; its sup norm peaks near the true change.
+matrix = CusumTable(x, full_points(x)).profile_matrix(1, T)
+profile = norm_value(Norm.LINF, matrix)
+peak = 1 + int(np.argmax(profile))
 zeta = threshold(0.9, T)
 print(f"series length {T}, true change at 120")
-print(f"profile peak at b={peak} with value {profile.values.max():.3f}")
+print(f"contrast matrix {matrix.shape[0]} splits x {matrix.shape[1]} points")
+print(f"profile peak at b={peak} with value {profile.max():.3f}")
 print(f"detection threshold 0.9 * sqrt(log T) = {zeta:.3f}")
 
 # The expanding-interval scan reports the same location, plus its score.

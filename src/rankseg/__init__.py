@@ -10,18 +10,15 @@ threshold constant. All statistics depend on the data only through ranks, so
 results are invariant under strictly increasing transformations.
 """
 
-from .aggregation import ContrastProfile, Norm, aggregate, norm_value
 from .contrast import (
     CusumTable,
     EvalPoints,
+    Norm,
     Series,
     as_series,
-    cusum,
-    ecdf,
     full_points,
     grid_points,
-    rescale_factors,
-    rescale_sd,
+    norm_value,
 )
 from .detector import (
     DetectorConfig,
@@ -52,20 +49,14 @@ from .simulate import ModelSpec, generate, list_models, parse_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContrastProfile",
-    "Norm",
-    "aggregate",
-    "norm_value",
     "CusumTable",
     "EvalPoints",
+    "Norm",
     "Series",
     "as_series",
-    "cusum",
-    "ecdf",
     "full_points",
     "grid_points",
-    "rescale_factors",
-    "rescale_sd",
+    "norm_value",
     "DetectorConfig",
     "ExpansionSchedule",
     "RestartRule",

@@ -5,8 +5,10 @@ rows; all reported positions are 1-based. Results are emitted as versioned
 JSON so downstream goldens stay valid.
 
 Exit codes: 0 on success (regardless of how many change-points were found),
-1 for unreadable or non-numeric input and runtime failures, 2 for bad command
-lines (argparse), 3 for an empty input series.
+1 for unreadable, non-numeric or non-finite input, invalid settings and
+runtime failures, 2 for bad command lines (argparse), 3 for an empty input
+series. The ``detect`` document is ``Segmentation.to_dict()`` plus
+``runtime_ms``.
 """
 
 from __future__ import annotations
@@ -16,18 +18,22 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DEFAULT_GRID_SIZE, DetectorConfig, Norm, RestartRule, StopRule
+from .detector import (
+    DEFAULT_GRID_SIZE,
+    SCHEMA_VERSION,
+    DetectorConfig,
+    Norm,
+    RestartRule,
+    StopRule,
+)
 from .evaluation import hausdorff, largest_segment, replicate_study
 from .selector import segment
 from .simulate import ModelSpec, generate, list_models, parse_model
 
-__all__ = ["main", "RunOutput"]
-
-SCHEMA_VERSION = 1
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -40,64 +46,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_ERROR):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunOutput:
-    """JSON-serialisable result of one ``detect`` invocation."""
-
-    length: int
-    changepoints: tuple[int, ...]
-    scores: tuple[float, ...]
-    config: dict
-    runtime_ms: float
-    solution_path: tuple[int, ...] | None = None
-    removal_scores: tuple[float, ...] | None = None
-    bic_chosen_j: int | None = None
-    bic_scores: tuple[float, ...] | None = None
-    bic_penalty: float | None = None
-
-    def to_dict(self) -> dict:
-        bic = None
-        if self.bic_chosen_j is not None:
-            bic = {
-                "chosen_j": self.bic_chosen_j,
-                "scores": list(self.bic_scores or ()),
-                "penalty": self.bic_penalty,
-            }
-        return {
-            "schema": SCHEMA_VERSION,
-            "length": self.length,
-            "changepoints": list(self.changepoints),
-            "scores": list(self.scores),
-            "solution_path": None if self.solution_path is None else list(self.solution_path),
-            "removal_scores": None if self.removal_scores is None else list(self.removal_scores),
-            "bic": bic,
-            "config": self.config,
-            "runtime_ms": self.runtime_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunOutput":
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        bic = data.get("bic")
-        return cls(
-            length=data["length"],
-            changepoints=tuple(data["changepoints"]),
-            scores=tuple(data["scores"]),
-            config=data["config"],
-            runtime_ms=data["runtime_ms"],
-            solution_path=None
-            if data.get("solution_path") is None
-            else tuple(data["solution_path"]),
-            removal_scores=None
-            if data.get("removal_scores") is None
-            else tuple(data["removal_scores"]),
-            bic_chosen_j=None if bic is None else bic["chosen_j"],
-            bic_scores=None if bic is None else tuple(bic["scores"]),
-            bic_penalty=None if bic is None else bic["penalty"],
-        )
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -179,19 +127,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    output = RunOutput(
-        length=int(values.size),
-        changepoints=result.changepoints,
-        scores=result.scores,
-        config=config.to_dict(),
-        runtime_ms=elapsed_ms,
-        solution_path=None if result.path is None else result.path.ordered,
-        removal_scores=None if result.path is None else result.path.removal_scores,
-        bic_chosen_j=None if result.bic is None else result.bic.chosen_j,
-        bic_scores=None if result.bic is None else result.bic.scores,
-        bic_penalty=None if result.bic is None else result.bic.penalty,
-    )
-    _write_json(output.to_dict(), args.out)
+    _write_json({**result.to_dict(), "runtime_ms": elapsed_ms}, args.out)
     return EXIT_OK
 
 

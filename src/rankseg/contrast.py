@@ -1,13 +1,24 @@
-"""Indicator transforms, ECDFs and the weighted two-sample rank CUSUM.
+"""Evaluation points, the prefix-count table, its contrast kernel and the norms.
 
 Everything here works on the ranks of the data only: the raw values enter
 exclusively through indicators ``1{X_t <= u}``, so all derived quantities are
 invariant under strictly increasing transformations of the series.
+
+- ``EvalPoints`` holds the points ``u``: all data values (``full_points``) or
+  an equally spaced value grid (``grid_points``).
+- ``CusumTable`` holds the prefix counts of the indicators at those points.
+  Its one kernel turns two prefix lookups into the weighted two-sample ECDF
+  contrast; ``profile_matrix`` (every split of an interval) and ``row`` (one
+  split) are two row ranges of it. ``indicator_sd`` is the per-point rescale
+  deviation, read off the table's column totals.
+- ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
+  along the last axis and ``norm_value`` is its validated public form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -15,13 +26,11 @@ __all__ = [
     "Series",
     "EvalPoints",
     "as_series",
-    "ecdf",
-    "cusum",
-    "rescale_sd",
-    "rescale_factors",
     "grid_points",
     "full_points",
     "CusumTable",
+    "Norm",
+    "norm_value",
 ]
 
 FULL = "full"
@@ -50,6 +59,8 @@ class Series:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("series must be a nonempty one-dimensional sequence")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("series values must be finite (no NaN or infinity)")
         object.__setattr__(self, "values", values)
         if self.truth is not None:
             truth = tuple(int(r) for r in self.truth)
@@ -122,63 +133,6 @@ def grid_points(series: Series, q: int) -> EvalPoints:
     return EvalPoints(lo + j * (hi - lo) / (q + 1), VALUE_GRID)
 
 
-def ecdf(sample, u: float) -> float:
-    """Empirical CDF of ``sample`` at ``u``: the fraction of values <= u."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
-        raise ValueError("ecdf of an empty sample is undefined")
-    return float(np.count_nonzero(sample <= u)) / sample.size
-
-
-def cusum(series, s: int, e: int, b: int, u: float) -> float:
-    """Weighted difference of pre-``b`` and post-``b`` indicator sums at ``u``.
-
-    For the interval ``[s, e]`` (1-based, inclusive) and a split candidate
-    ``b`` with ``s <= b < e``::
-
-        sqrt((e-b) / ((b-s+1)(e-s+1))) * sum_{t=s..b}   1{X_t <= u}
-      - sqrt((b-s+1) / ((e-b)(e-s+1))) * sum_{t=b+1..e} 1{X_t <= u}
-
-    which is a weighted difference of the two segment ECDFs at ``u``.
-    """
-    series = as_series(series)
-    T = len(series)
-    if not (1 <= s <= b < e <= T):
-        raise ValueError(f"need 1 <= s <= b < e <= T, got s={s}, b={b}, e={e}, T={T}")
-    ind = series.values <= u
-    n1 = b - s + 1
-    n2 = e - b
-    n = e - s + 1
-    pre = float(np.count_nonzero(ind[s - 1 : b]))
-    post = float(np.count_nonzero(ind[b:e]))
-    # factored as weight * ECDF difference so equal segment ECDFs cancel
-    # exactly (constant indicator vectors give a hard zero)
-    return float(np.sqrt(n1 * n2 / n) * (pre / n1 - post / n2))
-
-
-def rescale_sd(series, u: float) -> float:
-    """Estimated standard deviation of the indicator sequence at ``u``.
-
-    With ``p`` the fraction of values <= u, returns ``sqrt(p * (1 - p))``
-    clamped to 0.3 whenever ``p < 0.1`` or ``p > 0.9``; dividing contrasts by
-    an unclamped near-zero deviation would inflate them spuriously.
-    """
-    p = ecdf(as_series(series).values, u)
-    if p < 0.1 or p > 0.9:
-        return 0.3
-    return float(np.sqrt(p * (1.0 - p)))
-
-
-def rescale_factors(series, points) -> np.ndarray:
-    """Vectorised :func:`rescale_sd` over an array of evaluation points."""
-    series = as_series(series)
-    xs = np.sort(series.values)
-    points = np.asarray(points, dtype=float)
-    p = np.searchsorted(xs, points, side="right") / xs.size
-    sd = np.sqrt(p * (1.0 - p))
-    return np.where((p < 0.1) | (p > 0.9), 0.3, sd)
-
-
 class CusumTable:
     """Prefix indicator counts for one series against a fixed evaluation set.
 
@@ -209,6 +163,39 @@ class CusumTable:
                 f"need 1 <= s < e <= T, got s={s}, e={e}, T={self.length}"
             )
 
+    @property
+    def indicator_sd(self) -> np.ndarray:
+        """Estimated standard deviation of the indicator sequence per point.
+
+        With ``p`` the fraction of values <= u (the column total over T),
+        returns ``sqrt(p * (1 - p))`` clamped to 0.3 whenever ``p < 0.1`` or
+        ``p > 0.9``; dividing contrasts by an unclamped near-zero deviation
+        would inflate them spuriously.
+        """
+        p = self.prefix[-1] / self.length
+        return np.where((p < 0.1) | (p > 0.9), 0.3, np.sqrt(p * (1.0 - p)))
+
+    def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
+        """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``.
+
+        Row ``b`` is, at every evaluation point ``u``::
+
+            sqrt(n1 * n2 / n) * (F_pre(u) - F_post(u))
+
+        with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1`` and
+        ``F_pre``, ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``.
+        The weight times the ECDF difference lets equal segment ECDFs cancel
+        to a hard zero.
+        """
+        base = self.prefix[s - 1]
+        counts = self.prefix[lo:hi] - base
+        total = self.prefix[e] - base
+        n = float(e - s + 1)
+        n1 = np.arange(lo - s + 1.0, hi - s + 1.0)
+        n2 = n - n1
+        weight = np.sqrt(n1 * n2 / n)
+        return weight[:, None] * (counts / n1[:, None] - (total - counts) / n2[:, None])
+
     def profile_matrix(self, s: int, e: int) -> np.ndarray:
         """CUSUM values for every candidate ``b`` in ``[s, e)``.
 
@@ -216,24 +203,51 @@ class CusumTable:
         contrast at ``b = s + k`` across all evaluation points.
         """
         self._check(s, e)
-        base = self.prefix[s - 1]
-        counts = self.prefix[s:e] - base
-        total = self.prefix[e] - base
-        n = float(e - s + 1)
-        n1 = np.arange(1.0, e - s + 1.0)
-        n2 = n - n1
-        weight = np.sqrt(n1 * n2 / n)
-        # weight * ECDF difference: equal segment ECDFs cancel to a hard zero
-        return weight[:, None] * (counts / n1[:, None] - (total - counts) / n2[:, None])
+        return self._contrast(s, e, s, e)
 
     def row(self, s: int, e: int, b: int) -> np.ndarray:
         """Single CUSUM vector at split ``b`` within ``[s, e]``."""
         self._check(s, e)
         if not (s <= b < e):
             raise ValueError(f"need s <= b < e, got s={s}, b={b}, e={e}")
-        pre = self.prefix[b] - self.prefix[s - 1]
-        post = self.prefix[e] - self.prefix[b]
-        n1 = float(b - s + 1)
-        n2 = float(e - b)
-        n = float(e - s + 1)
-        return np.sqrt(n1 * n2 / n) * (pre / n1 - post / n2)
+        return self._contrast(s, e, b, b + 1)[0]
+
+
+class Norm(str, Enum):
+    """The three mean-dominant norms used for aggregation.
+
+    Each satisfies ``L(x) >= mean(x)`` on nonnegative vectors; all are applied
+    to absolute values, so sign conventions of the contrast do not matter.
+    """
+
+    L1 = "l1"
+    L2 = "l2"
+    LINF = "linf"
+
+
+def _profile_norms(matrix: np.ndarray, kind: Norm) -> np.ndarray:
+    """The norm of each vector along the last axis of ``matrix``.
+
+    ``l1`` is the mean of absolute values, ``l2`` the root mean square and
+    ``linf`` the maximum absolute value, each normalised by the length of
+    that axis.
+    """
+    if kind is Norm.L1:
+        return np.abs(matrix).mean(axis=-1)
+    if kind is Norm.L2:
+        return np.sqrt(np.square(matrix).mean(axis=-1))
+    return np.abs(matrix).max(axis=-1)
+
+
+def norm_value(kind: Norm, y):
+    """Validated :func:`_profile_norms`: a float for a vector, else an array.
+
+    ``kind`` may be a ``Norm`` or its string value; an empty input raises
+    ``ValueError``. For a matrix of contrast rows (such as
+    :meth:`CusumTable.profile_matrix`) it returns the norm of every row.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ValueError("norm of an empty vector is undefined")
+    out = _profile_norms(y, Norm(kind))
+    return float(out) if out.ndim == 0 else out

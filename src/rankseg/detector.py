@@ -17,15 +17,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .aggregation import Norm, _profile_norms
 from .contrast import (
     CusumTable,
     EvalPoints,
+    Norm,
     Series,
+    _profile_norms,
     as_series,
     full_points,
     grid_points,
-    rescale_factors,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +43,9 @@ __all__ = [
     "interval_sequences",
     "detect",
 ]
+
+# Version of the JSON documents the library and the command line write.
+SCHEMA_VERSION = 1
 
 # Calibrated threshold constants per norm; no calibration exists for l1.
 DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
@@ -225,6 +228,7 @@ class DetectorConfig:
             raise ValueError("split must be 'auto', a window length or None")
         if isinstance(self.split, int) and self.split < 2:
             raise ValueError("split window length must be >= 2")
+        self.resolved_constant()  # fail at construction, not mid-scan
 
     def resolved_constant(self) -> float:
         if self.threshold_constant is not None:
@@ -316,6 +320,24 @@ class Segmentation:
     def n_changepoints(self) -> int:
         return len(self.changepoints)
 
+    def to_dict(self) -> dict:
+        """JSON-ready result: the ``detect`` document of schema 1."""
+        path, bic = self.path, self.bic
+        return {
+            "schema": SCHEMA_VERSION,
+            "length": self.length,
+            "changepoints": list(self.changepoints),
+            "scores": list(self.scores),
+            "solution_path": None if path is None else list(path.ordered),
+            "removal_scores": None if path is None else list(path.removal_scores),
+            "bic": None if bic is None else {
+                "chosen_j": bic.chosen_j,
+                "scores": list(bic.scores),
+                "penalty": bic.penalty,
+            },
+            "config": self.config.to_dict(),
+        }
+
 
 def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
     """Consecutive 0-based window slices; a short tail folds into the last."""
@@ -340,11 +362,7 @@ def _detect_window(values: np.ndarray, config: DetectorConfig) -> tuple[dict, in
         return {}, 0
     eval_points = config.eval_points_for(series)
     table = CusumTable(series, eval_points)
-    sd = (
-        rescale_factors(series, eval_points.points)
-        if config.scan_rescale()
-        else None
-    )
+    sd = table.indicator_sd if config.scan_rescale() else None
     schedule = ExpansionSchedule(config.expansion_step, T)
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import DetectorConfig
+from .detector import SCHEMA_VERSION, DetectorConfig
 from .selector import segment
 from .simulate import ModelSpec, generate
 
@@ -93,7 +93,7 @@ class StudyReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "model": self.model,
             "reps": self.reps,
             "base_seed": self.base_seed,

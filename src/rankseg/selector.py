@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import xlogy
 
-from .aggregation import Norm, norm_value
-from .contrast import CusumTable, EvalPoints, as_series, full_points, rescale_factors
+from .contrast import CusumTable, EvalPoints, Norm, as_series, full_points, norm_value
 from .detector import DetectorConfig, Segmentation, StopRule, detect
 
 __all__ = [
@@ -114,7 +113,7 @@ def solution_path(
     if eval_points is None:
         eval_points = full_points(series)
     table = CusumTable(series, eval_points)
-    sd = rescale_factors(series, eval_points.points) if rescale else None
+    sd = table.indicator_sd if rescale else None
 
     def triplet_score(prev: int, cur: int, nxt: int) -> float:
         row = table.row(prev + 1, nxt, cur)

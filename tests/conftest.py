@@ -16,6 +16,25 @@ def naive_cusum(values, s, e, b, u):
     return math.sqrt(n2 / (n1 * n)) * pre - math.sqrt(n1 / (n2 * n)) * post
 
 
+def ecdf(sample, u):
+    """Empirical CDF of ``sample`` at ``u``: the fraction of values <= u."""
+    if len(sample) == 0:
+        raise ValueError("ecdf of an empty sample is undefined")
+    return sum(1 for v in sample if v <= u) / len(sample)
+
+
+def rescale_sd(values, u):
+    """Indicator standard deviation ``sqrt(p(1-p))`` at ``u``, clamped to 0.3.
+
+    The clamp applies whenever ``p = ecdf(values, u)`` lies outside
+    ``[0.1, 0.9]``.
+    """
+    p = ecdf(values, u)
+    if p < 0.1 or p > 0.9:
+        return 0.3
+    return math.sqrt(p * (1.0 - p))
+
+
 def naive_norm(kind, y):
     """Mean-dominant norms computed with plain Python arithmetic."""
     d = len(y)

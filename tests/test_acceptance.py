@@ -12,21 +12,19 @@ import time
 import numpy as np
 
 from rankseg import (
+    CusumTable,
     DetectorConfig,
+    EvalPoints,
     Norm,
     StopRule,
-    aggregate,
     bic_penalty,
-    cusum,
     detect,
     detect_bic,
-    ecdf,
     full_points,
     generate,
     grid_points,
     hausdorff,
     norm_value,
-    rescale_factors,
     replicate_study,
     segment,
     solution_path,
@@ -34,7 +32,7 @@ from rankseg import (
 )
 from rankseg.simulate import ModelSpec
 
-from conftest import naive_norm
+from conftest import naive_norm, rescale_sd
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -81,9 +79,13 @@ def test_criterion_1_incremental_matches_naive():
             points = full_points(x)
         kind = [Norm.L1, Norm.L2, Norm.LINF][case % 3]
         rescale = case % 2 == 1
-        sd = rescale_factors(x, points.points) if rescale else None
+        sd = [rescale_sd(x, u) for u in points.points] if rescale else None
 
-        got = aggregate(x, s, e, kind, eval_points=points, rescale=rescale).values
+        table = CusumTable(x, points)
+        matrix = table.profile_matrix(s, e)
+        if rescale:
+            matrix /= table.indicator_sd
+        got = norm_value(kind, matrix)
         for k, b in enumerate(range(s, e)):
             expected = _naive_profile_value(x, s, e, b, points.points, kind, sd)
             worst = max(worst, abs(got[k] - expected))
@@ -258,15 +260,22 @@ def test_criterion_8_invariant_suites():
             failures.append("mean dominance")
             break
 
-    # ECDF monotonicity and upper bound
+    def table_at(values, points):
+        return CusumTable(values, EvalPoints(np.atleast_1d(points), "grid"))
+
+    def contrast_at(values, s, e, b, u):
+        return float(table_at(values, u).row(s, e, b)[0])
+
+    # ECDF monotonicity and upper bound: the table's column totals over T
     sample = rng.standard_normal(60)
     grid = np.sort(rng.standard_normal(50))
-    vals = [ecdf(sample, u) for u in grid]
-    if any(b < a for a, b in zip(vals, vals[1:])) or ecdf(sample, sample.max()) != 1.0:
+    vals = table_at(sample, grid).prefix[-1] / sample.size
+    top = table_at(sample, sample.max()).prefix[-1][0] / sample.size
+    if np.any(np.diff(vals) < 0) or top != 1.0:
         failures.append("ecdf monotonicity")
 
     # exact cancellation and complement antisymmetry of the contrast
-    if cusum([5.0] * 6, 1, 6, 3, 5.0) != 0.0:
+    if contrast_at([5.0] * 6, 1, 6, 3, 5.0) != 0.0:
         failures.append("cusum cancellation")
     x = rng.standard_normal(40)
     u = float(np.quantile(x, 0.4))
@@ -276,7 +285,7 @@ def test_criterion_8_invariant_suites():
     flipped = math.sqrt((n - b) / (b * n)) * flipped_pre - math.sqrt(
         b / ((n - b) * n)
     ) * flipped_post
-    if abs(flipped + cusum(x, 1, n, b, u)) > 1e-12:
+    if abs(flipped + contrast_at(x, 1, n, b, u)) > 1e-12:
         failures.append("cusum antisymmetry")
 
     # detector determinism

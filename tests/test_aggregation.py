@@ -1,9 +1,11 @@
+"""Norms, and the aggregated contrast profile built from the shared kernel."""
+
 import numpy as np
 import pytest
 
-from rankseg import Norm, aggregate, full_points, grid_points, norm_value, rescale_factors
+from rankseg import CusumTable, Norm, full_points, grid_points, norm_value
 
-from conftest import naive_norm, naive_profile, random_series
+from conftest import naive_norm, naive_profile, random_series, rescale_sd
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
@@ -48,6 +50,14 @@ class TestNormValue:
             assert linf >= mean - 1e-12
             assert l1 <= l2 + 1e-12 <= linf + 2e-12
 
+    def test_matrix_gives_row_norms(self, rng):
+        # a matrix is normed along its last axis, row by row, bit for bit
+        matrix = rng.standard_normal((7, 13))
+        for kind in ALL_NORMS:
+            rows = norm_value(kind, matrix)
+            assert rows.shape == (7,)
+            assert rows.tolist() == [norm_value(kind, row) for row in matrix]
+
     def test_permutation_invariance(self, rng):
         for _ in range(20):
             y = rng.standard_normal(25)
@@ -59,16 +69,24 @@ class TestNormValue:
 
 
 class TestAggregate:
+    """``norm_value`` over ``CusumTable.profile_matrix``, optionally rescaled."""
+
+    @staticmethod
+    def profile(x, s, e, kind=Norm.LINF, eval_points=None, rescale=False):
+        table = CusumTable(x, eval_points or full_points(x))
+        matrix = table.profile_matrix(s, e)
+        if rescale:
+            matrix /= table.indicator_sd
+        return norm_value(kind, matrix)
+
     def test_constant_series_all_zero(self):
-        profile = aggregate([3.0] * 10, 1, 10, Norm.LINF)
-        assert np.all(profile.values == 0.0)
+        assert np.all(self.profile([3.0] * 10, 1, 10) == 0.0)
 
     def test_step_profile_peaks_at_split(self):
-        profile = aggregate([0.0, 0.0, 1.0, 1.0], 1, 4, Norm.LINF)
-        v1, v2, v3 = profile.values
+        # rows are the candidates b = 1, 2, 3
+        v1, v2, v3 = self.profile([0.0, 0.0, 1.0, 1.0], 1, 4)
         assert v2 == pytest.approx(1.0, abs=1e-12)
         assert v2 >= v1 and v2 >= v3
-        assert profile.candidates.tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("kind", ALL_NORMS)
     @pytest.mark.parametrize("rescale", [False, True])
@@ -79,16 +97,16 @@ class TestAggregate:
             s = int(rng.integers(1, n - 1))
             e = int(rng.integers(s + 2, n + 1))
             ep = full_points(x)
-            sd = rescale_factors(x, ep.points) if rescale else None
+            sd = [rescale_sd(x, u) for u in ep.points] if rescale else None
             expected = naive_profile(x, s, e, kind.value, ep.points, sd)
-            got = aggregate(x, s, e, kind, rescale=rescale).values
+            got = self.profile(x, s, e, kind, rescale=rescale)
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_matches_naive_grid_mode(self, rng):
         x = random_series(rng, max_len=30, min_len=8)
         ep = grid_points(x, 7)
         expected = naive_profile(x, 2, len(x), "l2", ep.points)
-        got = aggregate(x, 2, len(x), Norm.L2, eval_points=ep).values
+        got = self.profile(x, 2, len(x), Norm.L2, eval_points=ep)
         assert np.allclose(got, expected, atol=1e-12)
 
     @pytest.mark.parametrize("rescale", [False, True])
@@ -97,24 +115,24 @@ class TestAggregate:
         for transform in (np.exp, lambda v: 2.5 * v + 7.0):
             x = random_series(rng, max_len=60, min_len=10)
             n = len(x)
-            base = aggregate(x, 1, n, Norm.LINF, rescale=rescale).values
-            mapped = aggregate(transform(x), 1, n, Norm.LINF, rescale=rescale).values
+            base = self.profile(x, 1, n, rescale=rescale)
+            mapped = self.profile(transform(x), 1, n, rescale=rescale)
             assert np.array_equal(base, mapped)
 
     def test_shift_invariance(self, rng):
         x = random_series(rng, max_len=50, min_len=10)
-        base = aggregate(x, 1, len(x), Norm.L2).values
-        shifted = aggregate(x + 123.456, 1, len(x), Norm.L2).values
+        base = self.profile(x, 1, len(x), Norm.L2)
+        shifted = self.profile(x + 123.456, 1, len(x), Norm.L2)
         assert np.array_equal(base, shifted)
 
     def test_interval_violations(self):
         x = [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
-            aggregate(x, 2, 2, Norm.L1)
+            self.profile(x, 2, 2, Norm.L1)
         with pytest.raises(ValueError):
-            aggregate(x, 1, 4, Norm.L1)
+            self.profile(x, 1, 4, Norm.L1)
 
     def test_profile_nonnegative(self, rng):
         x = random_series(rng, max_len=80, min_len=10)
         for kind in ALL_NORMS:
-            assert np.all(aggregate(x, 1, len(x), kind).values >= 0.0)
+            assert np.all(self.profile(x, 1, len(x), kind) >= 0.0)

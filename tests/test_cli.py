@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rankseg.cli import RunOutput, main
+from rankseg import DetectorConfig, StopRule, segment
+from rankseg.cli import main
 
 
 def run(capsys, *argv):
@@ -108,6 +109,15 @@ class TestDetect:
         assert code == 1
         assert "constant" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_exit_1(self, tmp_path, capsys, bad):
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(["0.0"] * 10 + [bad] + ["5.0"] * 10) + "\n")
+        code, out, err = run(capsys, "detect", str(path))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/nonexistent/input.csv")
         assert code == 1
@@ -157,6 +167,13 @@ class TestStudy:
         assert header.startswith("model,")
         assert row.startswith("M1,3,")
 
+    def test_l1_without_constant_fails_cleanly(self, capsys):
+        code, out, err = run(capsys, "study", "--model", "M1", "--reps", "2",
+                             "--norm", "l1")
+        assert code == 1
+        assert out == ""
+        assert "constant" in err
+
     def test_stdout_report(self, capsys):
         code, out, _ = run(capsys, "study", "--model", "NC", "--reps", "2",
                            "--stop", "threshold")
@@ -196,29 +213,42 @@ class TestEvaluate:
         assert "invalid JSON" in err
 
 
-class TestRunOutput:
-    def test_roundtrip_with_bic(self):
-        output = RunOutput(
-            length=100,
-            changepoints=(10, 55),
-            scores=(3.2, 2.9),
-            config={"norm": "linf"},
-            runtime_ms=12.5,
-            solution_path=(55, 10, 80),
-            removal_scores=(4.0, 3.0, 1.0),
-            bic_chosen_j=2,
-            bic_scores=(10.0, 8.0, 7.5, 9.0),
-            bic_penalty=11.1,
-        )
-        payload = json.loads(json.dumps(output.to_dict()))
-        assert RunOutput.from_dict(payload) == output
+class TestDetectJson:
+    """The ``detect`` document is ``Segmentation.to_dict()`` plus the runtime."""
 
-    def test_roundtrip_threshold_only(self):
-        output = RunOutput(
-            length=10, changepoints=(), scores=(), config={}, runtime_ms=1.0
-        )
-        assert RunOutput.from_dict(json.loads(json.dumps(output.to_dict()))) == output
+    KEYS = [
+        "schema", "length", "changepoints", "scores", "solution_path",
+        "removal_scores", "bic", "config", "runtime_ms",
+    ]
 
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ValueError):
-            RunOutput.from_dict({"schema": 99})
+    def check(self, tmp_path, capsys, values, config, *flags):
+        path = tmp_path / "x.csv"
+        write_series(path, values)
+        code, out, _ = run(capsys, "detect", str(path), *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == self.KEYS
+        assert payload.pop("runtime_ms") >= 0.0
+        expected = segment(np.loadtxt(path), config).to_dict()
+        assert payload == json.loads(json.dumps(expected))
+        return payload
+
+    def test_bic_document_is_to_dict_plus_runtime(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(0, 1, 70), rng.normal(4, 1, 70)])
+        payload = self.check(tmp_path, capsys, values, DetectorConfig())
+        assert payload["schema"] == 1
+        assert payload["bic"]["chosen_j"] == len(payload["changepoints"])
+        assert sorted(payload["solution_path"][: payload["bic"]["chosen_j"]]) == (
+            payload["changepoints"]
+        )
+
+    def test_threshold_document_is_to_dict_plus_runtime(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        config = DetectorConfig(stop=StopRule.THRESHOLD)
+        payload = self.check(
+            tmp_path, capsys, rng.standard_normal(90), config, "--stop", "threshold"
+        )
+        assert payload["solution_path"] is None
+        assert payload["removal_scores"] is None
+        assert payload["bic"] is None

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from rankseg import (
-    CusumTable,
-    EvalPoints,
-    Series,
-    cusum,
-    ecdf,
-    full_points,
-    grid_points,
-    rescale_factors,
-    rescale_sd,
-)
+from rankseg import CusumTable, EvalPoints, Series, full_points, grid_points
 
-from conftest import naive_cusum, random_series
+from conftest import ecdf, naive_cusum, random_series, rescale_sd
+
+
+def table_at(x, points):
+    """A table of ``x`` at arbitrary points ``u``."""
+    return CusumTable(x, EvalPoints(np.atleast_1d(np.asarray(points, dtype=float)), "grid"))
+
+
+def column_ecdf(x, points):
+    """ECDF of ``x`` at ``points`` as held by the table: column totals over T."""
+    return table_at(x, points).prefix[-1] / len(x)
+
+
+def contrast_at(x, s, e, b, u):
+    """One kernel entry: the contrast of ``[s, e]`` at split ``b`` and point ``u``."""
+    return float(table_at(x, u).row(s, e, b)[0])
 
 
 class TestSeries:
@@ -38,14 +43,24 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series([1.0, 2.0, 3.0, 4.0], truth=(2, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.arange(10.0)
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Series(values)
+
 
 class TestEcdf:
+    """The table's column totals over T are the ECDF at its points."""
+
     def test_hand_values(self):
+        assert column_ecdf((1, 2, 3), [0, 2, 5]).tolist() == [0.0, 2 / 3, 1.0]
         assert ecdf((1, 2, 3), 2) == pytest.approx(2 / 3)
-        assert ecdf((1, 2, 3), 0) == 0.0
-        assert ecdf((1, 2, 3), 5) == 1.0
 
     def test_empty_sample(self):
+        with pytest.raises(ValueError):
+            CusumTable([], full_points([1.0]))
         with pytest.raises(ValueError):
             ecdf([], 0.0)
 
@@ -53,27 +68,29 @@ class TestEcdf:
         for _ in range(20):
             sample = random_series(rng, max_len=50)
             grid = np.sort(rng.standard_normal(40))
-            vals = [ecdf(sample, u) for u in grid]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
-            assert ecdf(sample, sample.max()) == 1.0
+            vals = column_ecdf(sample, grid)
+            assert np.all(np.diff(vals) >= 0)
+            assert vals.tolist() == [ecdf(sample, u) for u in grid]
+            assert column_ecdf(sample, [sample.max()])[0] == 1.0
 
     def test_right_continuous_step(self):
         # at a data value the jump is already included
-        assert ecdf((0.0, 1.0), 1.0) == 1.0
-        assert ecdf((0.0, 1.0), 1.0 - 1e-12) == 0.5
+        assert column_ecdf((0.0, 1.0), [1.0 - 1e-12, 1.0]).tolist() == [0.5, 1.0]
 
 
 class TestCusum:
+    """Single contrast entries of ``CusumTable.row`` against the oracle."""
+
     def test_hand_value(self):
         # first term sqrt(2/8) * 2 = 1, second term 0
-        assert cusum([0, 0, 1, 1], 1, 4, 2, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert contrast_at([0, 0, 1, 1], 1, 4, 2, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_below_min_is_zero(self, rng):
         x = rng.standard_normal(30)
-        assert cusum(x, 3, 20, 10, x.min() - 1.0) == 0.0
+        assert contrast_at(x, 3, 20, 10, x.min() - 1.0) == 0.0
 
     def test_constant_series_cancels(self):
-        assert cusum([5, 5, 5, 5], 1, 4, 2, 5) == pytest.approx(0.0, abs=1e-15)
+        assert contrast_at([5, 5, 5, 5], 1, 4, 2, 5) == 0.0
 
     def test_matches_naive(self, rng):
         for _ in range(50):
@@ -83,7 +100,7 @@ class TestCusum:
             e = int(rng.integers(s + 1, n + 1))
             b = int(rng.integers(s, e))
             u = float(rng.standard_normal()) * 2
-            assert cusum(x, s, e, b, u) == pytest.approx(
+            assert contrast_at(x, s, e, b, u) == pytest.approx(
                 naive_cusum(x, s, e, b, u), abs=1e-12
             )
 
@@ -101,48 +118,49 @@ class TestCusum:
             flipped = math.sqrt(n2 / (n1 * n)) * flipped_pre - math.sqrt(
                 n1 / (n2 * n)
             ) * flipped_post
-            assert flipped == pytest.approx(-cusum(x, s, e, b, u), abs=1e-12)
+            assert flipped == pytest.approx(-contrast_at(x, s, e, b, u), abs=1e-12)
 
     def test_rank_dependence(self):
         # two thresholds inducing the same indicator vector agree exactly
         x = [1.0, 4.0, 2.0, 8.0, 3.0]
-        assert cusum(x, 1, 5, 2, 4.3) == cusum(x, 1, 5, 2, 7.9)
+        assert contrast_at(x, 1, 5, 2, 4.3) == contrast_at(x, 1, 5, 2, 7.9)
 
     def test_index_violations(self):
-        x = [1.0, 2.0, 3.0, 4.0]
+        table = table_at([1.0, 2.0, 3.0, 4.0], 0.5)
         with pytest.raises(ValueError):
-            cusum(x, 0, 4, 2, 0.5)
+            table.row(0, 4, 2)
         with pytest.raises(ValueError):
-            cusum(x, 1, 5, 2, 0.5)
+            table.row(1, 5, 2)
         with pytest.raises(ValueError):
-            cusum(x, 1, 4, 4, 0.5)
+            table.row(1, 4, 4)
         with pytest.raises(ValueError):
-            cusum(x, 3, 3, 3, 0.5)
+            table.row(3, 3, 3)
 
 
 class TestRescale:
+    """``CusumTable.indicator_sd`` against hand values and the oracle."""
+
     def test_mid_range(self):
         x = np.arange(1, 11, dtype=float)  # p = 0.5 at u = 5
-        assert rescale_sd(x, 5.0) == pytest.approx(0.5)
+        assert table_at(x, [5.0]).indicator_sd[0] == pytest.approx(0.5)
 
     def test_clamp_low(self):
         x = np.arange(1, 101, dtype=float)
-        assert rescale_sd(x, 5.0) == 0.3  # p = 0.05
+        assert table_at(x, [5.0]).indicator_sd[0] == 0.3  # p = 0.05
 
     def test_clamp_high(self):
         x = np.arange(1, 101, dtype=float)
-        assert rescale_sd(x, 95.0) == 0.3  # p = 0.95
+        assert table_at(x, [95.0]).indicator_sd[0] == 0.3  # p = 0.95
 
     def test_boundary_continuous(self):
         # sqrt(0.1 * 0.9) = 0.3 exactly, so the clamp is continuous
         x = np.arange(1, 11, dtype=float)
-        assert rescale_sd(x, 1.0) == pytest.approx(0.3)
-        assert rescale_sd(x, 9.0) == pytest.approx(0.3)
+        assert table_at(x, [1.0, 9.0]).indicator_sd == pytest.approx([0.3, 0.3])
 
     def test_factors_match_scalar(self, rng):
         x = random_series(rng, max_len=80)
         pts = np.sort(rng.standard_normal(25))
-        vec = rescale_factors(x, pts)
+        vec = table_at(x, pts).indicator_sd
         for u, f in zip(pts, vec):
             assert f == pytest.approx(rescale_sd(x, u), abs=1e-15)
 
@@ -212,7 +230,8 @@ class TestCusumTable:
         s, e = 2, n - 1
         matrix = table.profile_matrix(s, e)
         for b in (s, (s + e) // 2, e - 1):
-            assert np.allclose(table.row(s, e, b), matrix[b - s], atol=1e-14)
+            # one kernel: the row is bit-identical to the matrix row
+            assert np.array_equal(table.row(s, e, b), matrix[b - s])
 
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], full_points([1.0, 2.0, 3.0]))

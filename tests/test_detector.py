@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from rankseg import (
+    CusumTable,
     DetectorConfig,
     ExpansionSchedule,
     Norm,
     RestartRule,
     StopRule,
-    aggregate,
     default_constant,
     detect,
     expansion_sequences,
+    full_points,
     interval_sequences,
+    norm_value,
+    segment,
     threshold,
 )
 from rankseg.detector import _window_bounds
@@ -197,11 +200,25 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect([1.0], THRESHOLD)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN in a step series once still gave (50,), and an infinity in a
+        # long series turned the value-grid points into NaN
+        step = np.repeat([0.0, 5.0], 50)
+        step[10] = bad  # position 11
+        long = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=3000)).values.copy()
+        long[1500] = bad
+        for values in (step, long):
+            for config in (THRESHOLD, DetectorConfig()):
+                with pytest.raises(ValueError, match="finite"):
+                    segment(values, config)
+
     def test_single_jump_matches_exhaustive_argmax(self):
         # one large step: detection reduces to a global maximisation
         rng = np.random.default_rng(42)
         x = np.concatenate([rng.normal(0.0, 1.0, 50), rng.normal(10.0, 1.0, 50)])
-        oracle = 1 + int(np.argmax(aggregate(x, 1, 100, Norm.LINF).values))
+        profile = norm_value(Norm.LINF, CusumTable(x, full_points(x)).profile_matrix(1, 100))
+        oracle = 1 + int(np.argmax(profile))
         assert abs(oracle - 50) <= 2
         seg = detect(x, THRESHOLD)
         assert len(seg.changepoints) == 1
