@@ -12,7 +12,7 @@ from rankseg import (
     Norm,
     StopRule,
     detect,
-    full_points,
+    grid_points,
     norm_value,
     threshold,
 )
@@ -25,7 +25,7 @@ T = len(x)
 
 # Row b of the contrast matrix compares the ECDFs of X_1..X_b and
 # X_{b+1}..X_T at every data value; its sup norm peaks near the true change.
-matrix = CusumTable(x, full_points(x)).profile_matrix(1, T)
+matrix = CusumTable(x, grid_points(x, T)).profile_matrix(1, T)
 profile = norm_value(Norm.LINF, matrix)
 peak = 1 + int(np.argmax(profile))
 zeta = threshold(0.9, T)

@@ -11,8 +11,8 @@ from rankseg import (
     ModelSpec,
     bic_select,
     detect_bic,
-    full_points,
     generate,
+    grid_points,
     overestimate,
     solution_path,
 )
@@ -28,7 +28,7 @@ print(f"\noverestimated candidates ({len(candidates)}): {candidates}")
 
 # Stage 2: iterative weakest-triplet removal orders them by importance.
 path = solution_path(
-    series, candidates, config.norm, full_points(series), rescale=True
+    series, candidates, config.norm, grid_points(series, len(series)), rescale=True
 )
 print("solution path (most important first):")
 for position, score in zip(path.ordered, path.removal_scores):

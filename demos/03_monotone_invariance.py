@@ -1,9 +1,9 @@
 """Rank-only statistics: transformed data gives identical segmentations.
 
 Every quantity in the detector depends on the data through indicators
-``1{X_t <= u}`` evaluated at data-driven points, so any strictly increasing
-transformation leaves the estimates exactly unchanged (in the exact full-data
-evaluation mode). Moment-based detectors do not have this property.
+``1{X_t <= u}`` evaluated at order statistics of the data, so any strictly
+increasing transformation leaves the estimates exactly unchanged, at every
+series length. Moment-based detectors do not have this property.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from rankseg import DetectorConfig, ModelSpec, StopRule, detect, detect_bic, gen
 series = generate(ModelSpec("MM_GAUSS", seed=12))
 print(f"true change-points: {series.truth}")
 
-config = DetectorConfig(stop=StopRule.THRESHOLD, eval_mode="full")
+config = DetectorConfig(stop=StopRule.THRESHOLD)
 base = detect(series, config).changepoints
 print(f"detected on raw data:        {base}")
 
@@ -28,7 +28,7 @@ for name, transform in [
     print(f"detected on {name:10s} {same}")
 
 # The same holds end to end for the information-criterion pipeline.
-bic_config = DetectorConfig(eval_mode="full")
+bic_config = DetectorConfig()
 base_bic = detect_bic(series, bic_config).changepoints
 exp_bic = detect_bic(np.exp(series.values), bic_config).changepoints
 print(f"\nBIC pipeline raw vs exp: {base_bic} vs {exp_bic}")

@@ -16,19 +16,16 @@ from .contrast import (
     Norm,
     Series,
     as_series,
-    full_points,
     grid_points,
     norm_value,
 )
 from .detector import (
     DetectorConfig,
-    ExpansionSchedule,
     RestartRule,
     Segmentation,
     StopRule,
     default_constant,
     detect,
-    expansion_sequences,
     interval_sequences,
     threshold,
 )
@@ -54,17 +51,14 @@ __all__ = [
     "Norm",
     "Series",
     "as_series",
-    "full_points",
     "grid_points",
     "norm_value",
     "DetectorConfig",
-    "ExpansionSchedule",
     "RestartRule",
     "Segmentation",
     "StopRule",
     "default_constant",
     "detect",
-    "expansion_sequences",
     "interval_sequences",
     "threshold",
     "Replication",

@@ -225,7 +225,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stop", choices=[s.value for s in StopRule], default="bic")
     parser.add_argument(
         "--grid", default="auto", metavar="Q|full",
-        help="evaluation points: 'full', 'auto' or a grid size (default auto)",
+        help="evaluation points: 'full' (all data values), 'auto' or a number of "
+        "equally spaced order statistics (default auto)",
     )
     parser.add_argument("--rescale", choices=["on", "off", "auto"], default="auto")
     parser.add_argument(

@@ -1,11 +1,12 @@
 """Evaluation points, the prefix-count table, its contrast kernel and the norms.
 
 Everything here works on the ranks of the data only: the raw values enter
-exclusively through indicators ``1{X_t <= u}``, so all derived quantities are
-invariant under strictly increasing transformations of the series.
+exclusively through indicators ``1{X_t <= u}`` and every point ``u`` is itself
+an order statistic of the series, so all derived quantities are invariant
+under strictly increasing transformations of the series at every length.
 
-- ``EvalPoints`` holds the points ``u``: all data values (``full_points``) or
-  an equally spaced value grid (``grid_points``).
+- ``EvalPoints`` holds the points ``u``; ``grid_points`` picks ``q`` equally
+  spaced order statistics, which for ``q = T`` are all the data values.
 - ``CusumTable`` holds the prefix counts of the indicators at those points.
   Its one kernel turns two prefix lookups into the weighted two-sample ECDF
   contrast; ``profile_matrix`` (every split of an interval) and ``row`` (one
@@ -27,14 +28,13 @@ __all__ = [
     "EvalPoints",
     "as_series",
     "grid_points",
-    "full_points",
     "CusumTable",
     "Norm",
     "norm_value",
 ]
 
 FULL = "full"
-VALUE_GRID = "grid"
+GRID = "grid"
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def as_series(data) -> Series:
 class EvalPoints:
     """Points at which the indicator transforms are evaluated.
 
-    ``mode`` is ``"full"`` when the points are exactly the data values of the
-    series (rank-exact, Q = T) and ``"grid"`` for the equally spaced value
-    grid used to cut computation on long series.
+    ``mode`` is ``"full"`` when the points are all ``T`` data values of the
+    series (Q = T) and ``"grid"`` for a subset of ``Q`` order statistics,
+    used to cut computation on long series.
     """
 
     points: np.ndarray
@@ -100,7 +100,7 @@ class EvalPoints:
             raise ValueError("evaluation points must be a nonempty 1-d sequence")
         if np.any(np.diff(points) < 0):
             raise ValueError("evaluation points must be sorted ascending")
-        if self.mode not in (FULL, VALUE_GRID):
+        if self.mode not in (FULL, GRID):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
         object.__setattr__(self, "points", points)
 
@@ -108,29 +108,19 @@ class EvalPoints:
         return int(self.points.size)
 
 
-def full_points(series: Series) -> EvalPoints:
-    """All data values of the series, sorted (the exact, rank-based mode)."""
-    series = as_series(series)
-    return EvalPoints(np.sort(series.values), FULL)
-
-
 def grid_points(series: Series, q: int) -> EvalPoints:
-    """Equally spaced points spanning the data range.
+    """``q`` equally spaced order statistics of the series.
 
-    Returns the ``q`` interior points ``min + j * range / (q + 1)`` for
-    ``j = 1..q``. A degenerate (constant) series yields the single point
-    ``min`` so that downstream contrasts are well defined and identically
-    zero.
+    Returns ``x_(k_j)`` with ``k_j = ceil(j * T / (q + 1))`` for ``j = 1..q``
+    (1-based ranks). For ``q = T`` this is ``k_j = j``, all data values
+    sorted, and the mode is ``"full"``; otherwise it is ``"grid"``.
     """
     series = as_series(series)
     if q < 1:
         raise ValueError("grid size must be >= 1")
-    lo = float(series.values.min())
-    hi = float(series.values.max())
-    if hi == lo:
-        return EvalPoints(np.array([lo]), VALUE_GRID)
-    j = np.arange(1, q + 1, dtype=float)
-    return EvalPoints(lo + j * (hi - lo) / (q + 1), VALUE_GRID)
+    T = len(series)
+    k = -(-np.arange(1, q + 1) * T // (q + 1))
+    return EvalPoints(np.sort(series.values)[k - 1], FULL if q == T else GRID)
 
 
 class CusumTable:

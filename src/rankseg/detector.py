@@ -11,7 +11,8 @@ maximisations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -24,7 +25,6 @@ from .contrast import (
     Series,
     _profile_norms,
     as_series,
-    full_points,
     grid_points,
 )
 
@@ -35,11 +35,9 @@ __all__ = [
     "StopRule",
     "RestartRule",
     "DetectorConfig",
-    "ExpansionSchedule",
     "Segmentation",
     "default_constant",
     "threshold",
-    "expansion_sequences",
     "interval_sequences",
     "detect",
 ]
@@ -50,8 +48,9 @@ SCHEMA_VERSION = 1
 # Calibrated threshold constants per norm; no calibration exists for l1.
 DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
 
-# Largest series length for which the exact full-data evaluation set is the
-# default; above it the equally spaced value grid takes over.
+# Largest series length for which all T data values are the default
+# evaluation set; above it DEFAULT_GRID_SIZE equally spaced order statistics
+# take over.
 FULL_EVAL_MAX = 1000
 DEFAULT_GRID_SIZE = 300
 
@@ -96,67 +95,25 @@ def threshold(constant: float, length: int) -> float:
     return constant * math.sqrt(math.log(length))
 
 
-@dataclass(frozen=True)
-class ExpansionSchedule:
-    """The fixed grid of right and left expansion points for one series.
-
-    Right points are ``j * step + 1`` capped by a terminal ``T``; left points
-    are ``T - j * step`` capped by a terminal 1. ``n_intervals`` is the number
-    of points per side, so one scan of an interval examines at most
-    ``2 * n_intervals`` expanding intervals.
-    """
-
-    step: int
-    length: int
-    right: np.ndarray = field(init=False)
-    left: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError("expansion step must be >= 1")
-        if self.length < 2:
-            raise ValueError("schedule needs a series length >= 2")
-        T, lam = self.length, self.step
-        k = math.ceil(T / lam)
-        inner = np.arange(1, k)
-        right = inner * lam + 1
-        left = T - inner * lam
-        object.__setattr__(
-            self, "right", np.append(right[right < T], T).astype(np.int64)
-        )
-        object.__setattr__(self, "left", np.append(left[left > 1], 1).astype(np.int64))
-
-    @property
-    def n_intervals(self) -> int:
-        return int(self.right.size)
-
-
-def expansion_sequences(
-    s: int, e: int, schedule: ExpansionSchedule
-) -> tuple[list[int], list[int]]:
-    """Right and left expansion end-points restricted to ``[s, e]``.
-
-    The right sequence holds the schedule's right points strictly inside
-    ``(s, e)`` followed by the terminal ``e``; the left sequence the left
-    points strictly inside followed by the terminal ``s``.
-    """
-    right = [int(c) for c in schedule.right if s < c < e] + [e]
-    left = [int(c) for c in schedule.left if s < c < e] + [s]
-    return right, left
-
-
 def interval_sequences(
-    s: int, e: int, schedule: ExpansionSchedule
+    s: int, e: int, step: int, length: int
 ) -> list[tuple[int, int, str]]:
     """The interleaved list of expanding intervals scanned within ``[s, e]``.
 
-    Odd slots are right-expanding ``[s, right_j]``, even slots left-expanding
-    ``[left_j, e]``; when one side runs out its slots are skipped. Returns an
-    empty list when ``e - s < 1``.
+    The expansion points of a series of length ``T = length`` are
+    ``j * step + 1`` on the right and ``T - j * step`` on the left
+    (``j >= 1``). Odd slots are right-expanding ``[s, r]`` over the right
+    points strictly inside ``(s, e)`` and then ``r = e``; even slots are
+    left-expanding ``[l, e]`` over the left points strictly inside, from the
+    top, and then ``l = s``. When one side runs out its slots are skipped.
+    Returns an empty list when ``e - s < 1``.
     """
+    if step < 1 or s < 1 or e > length:
+        raise ValueError(f"need step >= 1, s >= 1, e <= {length}; got {step}, {s}, {e}")
     if e - s < 1:
         return []
-    right, left = expansion_sequences(s, e, schedule)
+    right = [*range(((s - 1) // step + 1) * step + 1, e, step), e]
+    left = [*range(length - ((length - e) // step + 1) * step, s, -step), s]
     out: list[tuple[int, int, str]] = []
     for i in range(max(len(right), len(left))):
         if i < len(right):
@@ -164,6 +121,11 @@ def interval_sequences(
         if i < len(left):
             out.append((left[i], e, "left"))
     return out
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,10 +147,11 @@ class DetectorConfig:
         builds a solution path and picks the model minimising the information
         criterion.
     eval_mode : str
-        ``"auto"`` (full data values up to length 1000, value grid beyond),
-        ``"full"`` or ``"grid"``.
+        ``"auto"`` (all data values up to length 1000, ``grid_size`` order
+        statistics beyond), ``"full"`` or ``"grid"``.
     grid_size : int
-        Number of grid points when the value grid is used.
+        Number of equally spaced order statistics used as evaluation points
+        in grid mode.
     rescale : bool, optional
         Divide contrasts by estimated indicator standard deviations when
         ranking candidates on the solution path; ``None`` enables that
@@ -216,18 +179,21 @@ class DetectorConfig:
         object.__setattr__(self, "norm", Norm(self.norm))
         object.__setattr__(self, "stop", StopRule(self.stop))
         object.__setattr__(self, "restart", RestartRule(self.restart))
+        _check_int("expansion_step", self.expansion_step)
+        _check_int("grid_size", self.grid_size)
         if self.expansion_step < 1:
             raise ValueError("expansion_step must be >= 1")
         if self.grid_size < 1:
             raise ValueError("grid_size must be >= 1")
-        if self.threshold_constant is not None and self.threshold_constant <= 0:
-            raise ValueError("threshold_constant must be positive")
+        c = self.threshold_constant
+        if c is not None and not (math.isfinite(c) and c > 0):
+            raise ValueError(f"threshold_constant must be finite and > 0, got {c!r}")
         if self.eval_mode not in ("auto", "full", "grid"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
-        if isinstance(self.split, str) and self.split != "auto":
-            raise ValueError("split must be 'auto', a window length or None")
-        if isinstance(self.split, int) and self.split < 2:
-            raise ValueError("split window length must be >= 2")
+        if self.split not in ("auto", None):
+            _check_int("split", self.split)
+            if self.split < 2:
+                raise ValueError("split window length must be >= 2")
         self.resolved_constant()  # fail at construction, not mid-scan
 
     def resolved_constant(self) -> float:
@@ -250,13 +216,12 @@ class DetectorConfig:
         return bool(self.rescale)
 
     def eval_points_for(self, series: Series) -> EvalPoints:
+        """All ``T`` data values in full mode, else ``grid_size`` order statistics."""
         series = as_series(series)
-        mode = self.eval_mode
-        if mode == "auto":
-            mode = "full" if len(series) <= FULL_EVAL_MAX else "grid"
-        if mode == "full":
-            return full_points(series)
-        return grid_points(series, self.grid_size)
+        T = len(series)
+        auto_full = self.eval_mode == "auto" and T <= FULL_EVAL_MAX
+        full = self.eval_mode == "full" or auto_full
+        return grid_points(series, T if full else self.grid_size)
 
     def window_length(self, length: int) -> int | None:
         """Window size for splitting, or ``None`` when no split applies."""
@@ -283,11 +248,6 @@ class DetectorConfig:
                 "path_rescale": self.path_rescale(),
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectorConfig":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -363,7 +323,6 @@ def _detect_window(values: np.ndarray, config: DetectorConfig) -> tuple[dict, in
     eval_points = config.eval_points_for(series)
     table = CusumTable(series, eval_points)
     sd = table.indicator_sd if config.scan_rescale() else None
-    schedule = ExpansionSchedule(config.expansion_step, T)
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm
     at_estimate = config.restart is RestartRule.AT_ESTIMATE
@@ -373,7 +332,7 @@ def _detect_window(values: np.ndarray, config: DetectorConfig) -> tuple[dict, in
     s, e = 1, T
     while e - s >= 1:
         hit = False
-        for ss, ee, side in interval_sequences(s, e, schedule):
+        for ss, ee, side in interval_sequences(s, e, config.expansion_step, T):
             n_scanned += 1
             matrix = table.profile_matrix(ss, ee)
             if sd is not None:

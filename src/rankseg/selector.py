@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import xlogy
 
-from .contrast import CusumTable, EvalPoints, Norm, as_series, full_points, norm_value
+from .contrast import CusumTable, EvalPoints, Norm, as_series, grid_points, norm_value
 from .detector import DetectorConfig, Segmentation, StopRule, detect
 
 __all__ = [
@@ -111,7 +111,7 @@ def solution_path(
         return SolutionPath((), ())
 
     if eval_points is None:
-        eval_points = full_points(series)
+        eval_points = grid_points(series, T)
     table = CusumTable(series, eval_points)
     sd = table.indicator_sd if rescale else None
 

@@ -56,6 +56,35 @@ def naive_profile(values, s, e, kind, points, sd=None):
     return np.asarray(out)
 
 
+def expansion_points(step, length):
+    """The precomputed right and left expansion points of a series.
+
+    Right points are ``j * step + 1`` below ``T`` followed by the terminal
+    ``T``; left points are ``T - j * step`` above 1 followed by the terminal 1.
+    """
+    T = length
+    inner = np.arange(1, math.ceil(T / step))
+    right = inner * step + 1
+    left = T - inner * step
+    return np.append(right[right < T], T), np.append(left[left > 1], 1)
+
+
+def naive_interval_sequences(s, e, step, length):
+    """Interleaved expanding intervals of ``[s, e]`` by filtering the points."""
+    if e - s < 1:
+        return []
+    right_pts, left_pts = expansion_points(step, length)
+    right = [int(c) for c in right_pts if s < c < e] + [e]
+    left = [int(c) for c in left_pts if s < c < e] + [s]
+    out = []
+    for i in range(max(len(right), len(left))):
+        if i < len(right):
+            out.append((s, right[i], "right"))
+        if i < len(left):
+            out.append((left[i], e, "left"))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

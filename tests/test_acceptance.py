@@ -20,7 +20,6 @@ from rankseg import (
     bic_penalty,
     detect,
     detect_bic,
-    full_points,
     generate,
     grid_points,
     hausdorff,
@@ -76,7 +75,7 @@ def test_criterion_1_incremental_matches_naive():
         if case % 3 == 0 and t >= 3:
             points = grid_points(x, int(rng.integers(1, 50)))
         else:
-            points = full_points(x)
+            points = grid_points(x, len(x))
         kind = [Norm.L1, Norm.L2, Norm.LINF][case % 3]
         rescale = case % 2 == 1
         sd = [rescale_sd(x, u) for u in points.points] if rescale else None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankseg import CusumTable, Norm, full_points, grid_points, norm_value
+from rankseg import CusumTable, Norm, grid_points, norm_value
 
 from conftest import naive_norm, naive_profile, random_series, rescale_sd
 
@@ -73,7 +73,7 @@ class TestAggregate:
 
     @staticmethod
     def profile(x, s, e, kind=Norm.LINF, eval_points=None, rescale=False):
-        table = CusumTable(x, eval_points or full_points(x))
+        table = CusumTable(x, eval_points or grid_points(x, len(x)))
         matrix = table.profile_matrix(s, e)
         if rescale:
             matrix /= table.indicator_sd
@@ -96,7 +96,7 @@ class TestAggregate:
             n = len(x)
             s = int(rng.integers(1, n - 1))
             e = int(rng.integers(s + 2, n + 1))
-            ep = full_points(x)
+            ep = grid_points(x, len(x))
             sd = [rescale_sd(x, u) for u in ep.points] if rescale else None
             expected = naive_profile(x, s, e, kind.value, ep.points, sd)
             got = self.profile(x, s, e, kind, rescale=rescale)

@@ -118,6 +118,26 @@ class TestDetect:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("const", ["nan", "inf"])
+    def test_non_finite_constant_exit_1(self, tmp_path, capsys, const):
+        # a NaN constant once exited 0 with no change-points and wrote NaN,
+        # which is not valid JSON
+        path = tmp_path / "x.csv"
+        write_series(path, np.repeat([0.0, 3.0], 100))
+        code, out, err = run(capsys, "detect", str(path), "--const", const)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "2.5"), ("--split", "150.5")])
+    def test_non_integer_sizes_exit_1(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "x.csv"
+        write_series(path, np.arange(50.0))
+        code, out, err = run(capsys, "detect", str(path), flag, value)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/nonexistent/input.csv")
         assert code == 1
@@ -173,6 +193,13 @@ class TestStudy:
         assert code == 1
         assert out == ""
         assert "constant" in err
+
+    def test_non_finite_constant_fails_cleanly(self, capsys):
+        code, out, err = run(capsys, "study", "--model", "M1", "--reps", "2",
+                             "--const", "inf")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_stdout_report(self, capsys):
         code, out, _ = run(capsys, "study", "--model", "NC", "--reps", "2",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankseg import CusumTable, EvalPoints, Series, full_points, grid_points
+from rankseg import CusumTable, DetectorConfig, EvalPoints, Series, grid_points, segment
 
 from conftest import ecdf, naive_cusum, random_series, rescale_sd
 
@@ -60,7 +60,7 @@ class TestEcdf:
 
     def test_empty_sample(self):
         with pytest.raises(ValueError):
-            CusumTable([], full_points([1.0]))
+            CusumTable([], grid_points([1.0], 1))
         with pytest.raises(ValueError):
             ecdf([], 0.0)
 
@@ -166,31 +166,48 @@ class TestRescale:
 
 
 class TestGridPoints:
-    def test_range_zero_to_four(self):
+    def test_order_statistic_indices(self):
+        # k_j = ceil(j * T / (q + 1)) picks 1-based order statistics
         x = [0.0, 4.0, 1.5]
-        assert np.allclose(grid_points(x, 3).points, [1.0, 2.0, 3.0])
-        assert np.allclose(grid_points(x, 1).points, [2.0])
+        assert grid_points(x, 1).points.tolist() == [1.5]
+        assert grid_points(x, 2).points.tolist() == [0.0, 1.5]
+        y = np.arange(10.0, 0.0, -1.0)
+        assert grid_points(y, 4).points.tolist() == [2.0, 4.0, 6.0, 8.0]
+        assert grid_points(y, 9).points.tolist() == list(np.arange(1.0, 10.0))
 
-    def test_constant_series_single_point(self):
-        ep = grid_points([7.0] * 5, 10)
-        assert ep.points.tolist() == [7.0]
+    def test_constant_series_all_equal_points(self):
+        x = np.full(1500, 7.0)
+        ep = DetectorConfig().eval_points_for(x)
+        assert ep.mode == "grid" and len(ep) == 300
+        assert np.all(ep.points == 7.0)
+        assert np.all(CusumTable(x, ep).profile_matrix(1, 1500) == 0.0)
+        for stop in ("threshold", "bic"):
+            assert segment(x, DetectorConfig(stop=stop)).changepoints == ()
 
     def test_mode_and_sorting(self, rng):
         x = random_series(rng, max_len=50)
         ep = grid_points(x, 17)
-        assert ep.mode == "grid"
+        assert ep.mode == ("full" if len(x) == 17 else "grid")
         assert len(ep) == 17
         assert np.all(np.diff(ep.points) >= 0)
+        assert np.all(np.isin(ep.points, x))
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
             grid_points([1.0, 2.0], 0)
 
     def test_full_points_are_data(self, rng):
-        x = random_series(rng, max_len=40)
-        ep = full_points(x)
-        assert ep.mode == "full"
-        assert np.array_equal(ep.points, np.sort(x))
+        for n in (1, 2, 3, 59, 1000, 1600):
+            x = rng.standard_normal(n)
+            ep = grid_points(x, n)
+            assert ep.mode == "full"
+            assert np.array_equal(ep.points, np.sort(x))
+
+    def test_commutes_with_increasing_maps(self, rng):
+        x = rng.standard_normal(3000)
+        for f in (np.exp, lambda v: 2.5 * v + 7.0, np.arctan):
+            for q in (1, 7, 300, 2999, 3000):
+                assert np.array_equal(grid_points(f(x), q).points, f(grid_points(x, q).points))
 
 
 class TestEvalPoints:
@@ -212,7 +229,7 @@ class TestCusumTable:
         for _ in range(10):
             x = random_series(rng, max_len=40, ties=bool(rng.integers(2)))
             n = len(x)
-            ep = full_points(x)
+            ep = grid_points(x, len(x))
             table = CusumTable(x, ep)
             s = int(rng.integers(1, n))
             e = int(rng.integers(s + 1, n + 1))
@@ -225,7 +242,7 @@ class TestCusumTable:
 
     def test_row_matches_matrix(self, rng):
         x = random_series(rng, max_len=60)
-        table = CusumTable(x, full_points(x))
+        table = CusumTable(x, grid_points(x, len(x)))
         n = len(x)
         s, e = 2, n - 1
         matrix = table.profile_matrix(s, e)
@@ -234,7 +251,7 @@ class TestCusumTable:
             assert np.array_equal(table.row(s, e, b), matrix[b - s])
 
     def test_interval_validation(self):
-        table = CusumTable([1.0, 2.0, 3.0], full_points([1.0, 2.0, 3.0]))
+        table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))
         with pytest.raises(ValueError):
             table.profile_matrix(2, 2)
         with pytest.raises(ValueError):

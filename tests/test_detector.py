@@ -6,14 +6,12 @@ import pytest
 from rankseg import (
     CusumTable,
     DetectorConfig,
-    ExpansionSchedule,
     Norm,
     RestartRule,
     StopRule,
     default_constant,
     detect,
-    expansion_sequences,
-    full_points,
+    grid_points,
     interval_sequences,
     norm_value,
     segment,
@@ -21,6 +19,8 @@ from rankseg import (
 )
 from rankseg.detector import _window_bounds
 from rankseg.simulate import ModelSpec, generate
+
+from conftest import naive_interval_sequences
 
 THRESHOLD = DetectorConfig(stop=StopRule.THRESHOLD)
 
@@ -47,56 +47,62 @@ class TestThreshold:
             default_constant(Norm.L1)
 
 
+def sides(s, e, step, length):
+    """The right and left end-point sequences of ``interval_sequences``."""
+    seq = interval_sequences(s, e, step, length)
+    right = [ee for _, ee, side in seq if side == "right"]
+    left = [ss for ss, _, side in seq if side == "left"]
+    return right, left
+
+
 class TestExpansionSchedule:
+    """The expansion points, computed directly by ``interval_sequences``."""
+
     def test_worked_example_t60(self):
-        sched = ExpansionSchedule(10, 60)
-        assert sched.right.tolist() == [11, 21, 31, 41, 51, 60]
-        assert sched.left.tolist() == [50, 40, 30, 20, 10, 1]
+        assert sides(1, 60, 10, 60) == ([11, 21, 31, 41, 51, 60], [50, 40, 30, 20, 10, 1])
 
     def test_terminals_never_duplicated(self):
-        # 3 * 15 + 1 == T here, so the raw grid would repeat the terminal
-        sched = ExpansionSchedule(15, 46)
-        assert sched.right.tolist() == [16, 31, 46]
-        assert sched.left.tolist() == [31, 16, 1]
+        # 3 * 15 + 1 == T here, so the raw lattice would repeat the terminal
+        assert sides(1, 46, 15, 46) == ([16, 31, 46], [31, 16, 1])
 
     def test_invariants_random(self):
+        # the direct formulas agree with filtering the precomputed points
         rng = np.random.default_rng(7)
-        for _ in range(50):
+        for _ in range(2000):
             t = int(rng.integers(2, 400))
             lam = int(rng.integers(1, 40))
-            sched = ExpansionSchedule(lam, t)
-            right, left = sched.right, sched.left
-            assert np.all(np.diff(right) > 0) and right[-1] == t
-            assert np.all(np.diff(left) < 0) and left[-1] == 1
+            s = int(rng.integers(1, t + 1))
+            e = int(rng.integers(s, t + 1))
+            assert interval_sequences(s, e, lam, t) == naive_interval_sequences(s, e, lam, t)
+            if e > s:
+                right, left = sides(s, e, lam, t)
+                assert np.all(np.diff(right) > 0) and right[-1] == e
+                assert np.all(np.diff(left) < 0) and left[-1] == s
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExpansionSchedule(0, 10)
+            interval_sequences(1, 10, 0, 10)
         with pytest.raises(ValueError):
-            ExpansionSchedule(5, 1)
+            interval_sequences(0, 10, 5, 10)
+        with pytest.raises(ValueError):
+            interval_sequences(1, 11, 5, 10)
 
 
 class TestIntervalSequences:
     def test_full_interval_t60(self):
-        sched = ExpansionSchedule(10, 60)
-        right, left = expansion_sequences(1, 60, sched)
+        right, left = sides(1, 60, 10, 60)
         assert right == [11, 21, 31, 41, 51, 60]
         assert left == [50, 40, 30, 20, 10, 1]
 
     def test_sub_interval_30_41(self):
         # first right point past 30 is 31; first left point below 41 is 40
-        sched = ExpansionSchedule(10, 60)
-        right, left = expansion_sequences(30, 41, sched)
-        assert right == [31, 41]
-        assert left == [40, 30]
+        assert sides(30, 41, 10, 60) == ([31, 41], [40, 30])
 
     def test_empty_when_degenerate(self):
-        sched = ExpansionSchedule(10, 60)
-        assert interval_sequences(5, 5, sched) == []
+        assert interval_sequences(5, 5, 10, 60) == []
 
     def test_interleaving_order(self):
-        sched = ExpansionSchedule(10, 60)
-        seq = interval_sequences(1, 60, sched)
+        seq = interval_sequences(1, 60, 10, 60)
         assert seq[:4] == [
             (1, 11, "right"),
             (50, 60, "left"),
@@ -108,11 +114,10 @@ class TestIntervalSequences:
     def test_uneven_sides_skip_exhausted_slot(self):
         # [11, 41]: right side has 3 entries (21, 31, 41), left side 4
         # (40, 30, 20, 11); the exhausted right slot is skipped at the end
-        sched = ExpansionSchedule(10, 60)
-        right, left = expansion_sequences(11, 41, sched)
+        right, left = sides(11, 41, 10, 60)
         assert right == [21, 31, 41]
         assert left == [40, 30, 20, 11]
-        seq = interval_sequences(11, 41, sched)
+        seq = interval_sequences(11, 41, 10, 60)
         assert len(seq) == 7
         assert seq[-1] == (11, 41, "left")
         # pairs alternate right/left while both sides last
@@ -184,9 +189,40 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(split="sometimes")
 
-    def test_dict_roundtrip(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, bad):
+        # a NaN or infinite constant once silently returned no change-points
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig(threshold_constant=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("expansion_step", 7.5),
+            ("expansion_step", True),
+            ("grid_size", 2.5),
+            ("grid_size", True),
+            ("split", 150.5),
+            ("split", False),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="integer"):
+            DetectorConfig(**{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = DetectorConfig(
+            expansion_step=np.int64(10), grid_size=np.int32(50), split=np.int64(900)
+        )
+        assert cfg.window_length(1000) == 900
+
+    def test_to_dict_key_order(self):
         cfg = DetectorConfig(norm="l2", threshold_constant=0.7, split=900)
-        assert DetectorConfig.from_dict(cfg.to_dict()) == cfg
+        doc = cfg.to_dict()
+        assert list(doc) == [*DetectorConfig.__dataclass_fields__, "resolved"]
+        assert list(doc["resolved"]) == ["threshold_constant", "scan_rescale", "path_rescale"]
+        assert doc["norm"] == "l2" and doc["split"] == 900
+        assert doc["resolved"]["threshold_constant"] == 0.7
 
 
 class TestDetect:
@@ -217,7 +253,7 @@ class TestDetect:
         # one large step: detection reduces to a global maximisation
         rng = np.random.default_rng(42)
         x = np.concatenate([rng.normal(0.0, 1.0, 50), rng.normal(10.0, 1.0, 50)])
-        profile = norm_value(Norm.LINF, CusumTable(x, full_points(x)).profile_matrix(1, 100))
+        profile = norm_value(Norm.LINF, CusumTable(x, grid_points(x, 100)).profile_matrix(1, 100))
         oracle = 1 + int(np.argmax(profile))
         assert abs(oracle - 50) <= 2
         seg = detect(x, THRESHOLD)
@@ -250,6 +286,29 @@ class TestDetect:
             assert detect(np.exp(series.values), cfg).changepoints == base
             assert detect(3.0 * series.values - 2.0, cfg).changepoints == base
 
+    def test_monotone_transform_invariance_long_series(self):
+        # above T = 1000 the points are 300 order statistics, so the maps
+        # commute with them; exp once changed the output on each seed here
+        for seed in range(3):
+            x = generate(ModelSpec("T2", seed, length=3000)).values
+            for config in (THRESHOLD, DetectorConfig()):
+                base = segment(x, config).changepoints
+                assert segment(np.exp(x / 3.0), config).changepoints == base
+                assert segment(2.5 * x + 7.0, config).changepoints == base
+
+    @pytest.mark.parametrize("seed", [1000, 1003, 1005])
+    def test_cauchy_steps_exact_long_series(self, seed):
+        # ten mean steps of size 2 under standard Cauchy noise at T = 3000;
+        # the equally spaced value grid once missed most of them here
+        T = 3000
+        truth = [round(T * i / 11) for i in range(1, 11)]
+        means = 2.0 * np.array([0, 1, 0, -1] * 3)[:11]
+        level = np.repeat(means, np.diff([0, *truth, T]))
+        x = level + np.random.default_rng(seed).standard_cauchy(T)
+        cps = segment(x).changepoints
+        assert len(cps) == 10
+        assert max(abs(c - t) for c, t in zip(cps, truth)) <= 30
+
     def test_huge_threshold_gives_empty(self):
         series = generate(ModelSpec("MM_GAUSS", 0))
         cfg = DetectorConfig(stop=StopRule.THRESHOLD, threshold_constant=50.0)
@@ -271,7 +330,8 @@ class TestDetect:
         for model, seed in [("NC", 0), ("MM_GAUSS", 1), ("MM_GAUSS2", 2)]:
             series = generate(ModelSpec(model, seed))
             seg = detect(series, THRESHOLD)
-            k = ExpansionSchedule(15, len(series)).n_intervals
+            T = len(series)
+            k = sum(side == "right" for *_, side in interval_sequences(1, T, 15, T))
             assert seg.intervals_evaluated <= 2 * k * (seg.n_changepoints + 1)
 
     def test_restart_at_estimate(self):

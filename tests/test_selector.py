@@ -11,7 +11,7 @@ from rankseg import (
     bic_select,
     detect,
     detect_bic,
-    full_points,
+    grid_points,
     overestimate,
     segment,
     solution_path,
@@ -123,7 +123,7 @@ class TestBicSelect:
     def test_chosen_minimises(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 0)).values
         cands = overestimate(x, DetectorConfig())
-        path = solution_path(x, cands, Norm.LINF, full_points(x), True)
+        path = solution_path(x, cands, Norm.LINF, grid_points(x, len(x)), True)
         result = bic_select(x, path)
         assert set(result.changepoints) <= set(path.ordered)
         assert result.scores[result.chosen_j] == min(result.scores)
@@ -172,16 +172,16 @@ class TestSolutionPath:
             cands = sorted(rng.choice(np.arange(1, t), size=k, replace=False).tolist())
             points = np.sort(x)
             for kind in (Norm.L2, Norm.LINF):
-                fast = solution_path(x, cands, kind, full_points(x)).ordered
+                fast = solution_path(x, cands, kind, grid_points(x, len(x))).ordered
                 slow = naive_solution_path(x, cands, kind.value, points)
                 assert fast == slow
 
     def test_rank_invariance(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 7)).values
         cands = overestimate(x, DetectorConfig())
-        base = solution_path(x, cands, Norm.LINF, full_points(x), True)
+        base = solution_path(x, cands, Norm.LINF, grid_points(x, len(x)), True)
         mapped = solution_path(
-            np.exp(x), cands, Norm.LINF, full_points(np.exp(x)), True
+            np.exp(x), cands, Norm.LINF, grid_points(np.exp(x), len(x)), True
         )
         assert base.ordered == mapped.ordered
 
