@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from .contrast import _check_positions
 from .detector import (
     DEFAULT_GRID_SIZE,
     SCHEMA_VERSION,
@@ -140,7 +141,10 @@ def _model_spec(args: argparse.Namespace, seed: int) -> ModelSpec:
         params["length"] = args.length
     if getattr(args, "rate", None) is not None:
         params["rate"] = args.rate
-    return ModelSpec(model, seed, params.get("length"), params.get("rate"))
+    try:
+        return ModelSpec(model, seed, params.get("length"), params.get("rate"))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -171,14 +175,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     spec = _model_spec(args, args.seed)
     config = _config_from_args(args)
-    report = replicate_study(
-        spec.model,
-        config,
-        reps=args.reps,
-        base_seed=args.seed,
-        length=spec.length,
-        rate=spec.rate,
-    )
+    try:
+        report = replicate_study(
+            spec.model,
+            config,
+            reps=args.reps,
+            base_seed=args.seed,
+            length=spec.length,
+            rate=spec.rate,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _write_json(report.to_dict(), args.out)
     if args.csv:
         row = report.csv_row()
@@ -189,7 +196,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_changepoints(path: str) -> list[int]:
+def _read_changepoints(path: str, length: int) -> tuple[int, ...]:
+    """Positions from a JSON list or ``changepoints`` key, checked against ``T``."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -199,14 +207,21 @@ def _read_changepoints(path: str) -> list[int]:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("changepoints")
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in data
+    ):
         raise CliError(f"{path}: expected a list of integers or a 'changepoints' key")
-    return data
+    try:
+        return _check_positions(data, length, "change-points")
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = _read_changepoints(args.truth)
-    est = _read_changepoints(args.est)
+    if args.length < 2:
+        raise CliError(f"--T must be >= 2, got {args.length}")
+    truth = _read_changepoints(args.truth, args.length)
+    est = _read_changepoints(args.est, args.length)
     distance = hausdorff(truth, est, largest_segment(truth, args.length))
     print("NA" if distance is None else f"{distance:.10g}")
     return EXIT_OK

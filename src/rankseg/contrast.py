@@ -37,6 +37,16 @@ FULL = "full"
 GRID = "grid"
 
 
+def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
+    """Change-point positions as ints, strictly increasing and in ``[1, T-1]``."""
+    positions = tuple(int(r) for r in positions)
+    if any(r < 1 or r > length - 1 for r in positions):
+        raise ValueError(f"{what} must lie in [1, {length - 1}]")
+    if any(b <= a for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return positions
+
+
 @dataclass(frozen=True)
 class Series:
     """A univariate data sequence with optional ground-truth change-points.
@@ -63,12 +73,7 @@ class Series:
             raise ValueError("series values must be finite (no NaN or infinity)")
         object.__setattr__(self, "values", values)
         if self.truth is not None:
-            truth = tuple(int(r) for r in self.truth)
-            T = values.size
-            if any(r < 1 or r > T - 1 for r in truth):
-                raise ValueError(f"truth positions must lie in [1, {T - 1}]")
-            if any(b <= a for a, b in zip(truth, truth[1:])):
-                raise ValueError("truth positions must be strictly increasing")
+            truth = _check_positions(self.truth, values.size, "truth positions")
             object.__setattr__(self, "truth", truth)
 
     def __len__(self) -> int:
@@ -109,16 +114,18 @@ class EvalPoints:
 
 
 def grid_points(series: Series, q: int) -> EvalPoints:
-    """``q`` equally spaced order statistics of the series.
+    """``min(q, T)`` equally spaced order statistics of the series.
 
     Returns ``x_(k_j)`` with ``k_j = ceil(j * T / (q + 1))`` for ``j = 1..q``
-    (1-based ranks). For ``q = T`` this is ``k_j = j``, all data values
-    sorted, and the mode is ``"full"``; otherwise it is ``"grid"``.
+    (1-based ranks). ``q`` is capped at ``T``, so no point is repeated; for
+    ``q >= T`` this is ``k_j = j``, all data values sorted, and the mode is
+    ``"full"``; otherwise it is ``"grid"``.
     """
     series = as_series(series)
     if q < 1:
         raise ValueError("grid size must be >= 1")
     T = len(series)
+    q = min(q, T)
     k = -(-np.arange(1, q + 1) * T // (q + 1))
     return EvalPoints(np.sort(series.values)[k - 1], FULL if q == T else GRID)
 

@@ -23,6 +23,7 @@ from .contrast import (
     EvalPoints,
     Norm,
     Series,
+    _check_positions,
     _profile_norms,
     as_series,
     grid_points,
@@ -151,7 +152,8 @@ class DetectorConfig:
         statistics beyond), ``"full"`` or ``"grid"``.
     grid_size : int
         Number of equally spaced order statistics used as evaluation points
-        in grid mode.
+        in grid mode, capped at the series length (``T`` or more gives all
+        data values).
     rescale : bool, optional
         Divide contrasts by estimated indicator standard deviations when
         ranking candidates on the solution path; ``None`` enables that
@@ -271,10 +273,7 @@ class Segmentation:
     def __post_init__(self):
         if len(self.changepoints) != len(self.scores):
             raise ValueError("changepoints and scores must align")
-        if any(b <= a for a, b in zip(self.changepoints, self.changepoints[1:])):
-            raise ValueError("changepoints must be strictly increasing")
-        if any(c < 1 or c > self.length - 1 for c in self.changepoints):
-            raise ValueError("changepoints must lie in [1, T-1]")
+        _check_positions(self.changepoints, self.length, "changepoints")
 
     @property
     def n_changepoints(self) -> int:

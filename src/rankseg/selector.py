@@ -14,9 +14,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import xlogy
 
-from .contrast import CusumTable, EvalPoints, Norm, as_series, grid_points, norm_value
+from .contrast import (
+    CusumTable,
+    EvalPoints,
+    Norm,
+    _check_positions,
+    as_series,
+    grid_points,
+    norm_value,
+)
 from .detector import DetectorConfig, Segmentation, StopRule, detect
 
 __all__ = [
@@ -102,11 +109,7 @@ def solution_path(
     """
     series = as_series(series)
     T = len(series)
-    work = [int(c) for c in candidates]
-    if any(b <= a for a, b in zip(work, work[1:])):
-        raise ValueError("candidates must be sorted strictly increasing")
-    if any(c < 1 or c > T - 1 for c in work):
-        raise ValueError(f"candidates must lie in [1, {T - 1}]")
+    work = list(_check_positions(candidates, T, "candidates"))
     if not work:
         return SolutionPath((), ())
 
@@ -140,6 +143,11 @@ def solution_path(
     return SolutionPath(tuple(reversed(removed)), tuple(reversed(removed_scores)))
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """Elementwise ``p * log(p)`` with ``0 * log(0) = 0``."""
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+
+
 def st_likelihood(series, breakpoints=()) -> float:
     """Integrated profile log-likelihood of a candidate segmentation.
 
@@ -156,11 +164,7 @@ def st_likelihood(series, breakpoints=()) -> float:
     series = as_series(series)
     x = series.values
     T = x.size
-    bpts = [int(b) for b in breakpoints]
-    if any(b <= a for a, b in zip(bpts, bpts[1:])):
-        raise ValueError("breakpoints must be sorted strictly increasing")
-    if any(b < 1 or b > T - 1 for b in bpts):
-        raise ValueError(f"breakpoints must lie in [1, {T - 1}]")
+    bpts = _check_positions(breakpoints, T, "breakpoints")
     if T <= 2:
         return 0.0
 
@@ -174,7 +178,7 @@ def st_likelihood(series, breakpoints=()) -> float:
     for a, b in zip(edges, edges[1:]):
         seg = np.sort(x[a:b])
         f = np.searchsorted(seg, order_stats, side="right") / (b - a)
-        entropy = xlogy(f, f) + xlogy(1.0 - f, 1.0 - f)
+        entropy = _xlogx(f) + _xlogx(1.0 - f)
         total += (b - a) * float(weights @ entropy)
     return T * total
 

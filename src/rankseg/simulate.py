@@ -26,15 +26,19 @@ _SQRT3 = math.sqrt(3.0)
 class ModelSpec:
     """A benchmark model instance: id, seed and optional size parameters.
 
-    ``length`` applies to the timing and no-change families; ``rate`` is the
-    Poisson mean of the no-change Poisson family. Fixed-size models ignore
-    both.
+    ``length`` applies to the timing and no-change families and must be
+    ``>= 1`` when given; ``rate`` is the Poisson mean of the no-change Poisson
+    family. Fixed-size models ignore both.
     """
 
     model: str
     seed: int
     length: int | None = None
     rate: float | None = None
+
+    def __post_init__(self):
+        if self.length is not None and self.length < 1:
+            raise ValueError(f"length must be >= 1, got {self.length}")
 
 
 def _alternating(levels, cps, length) -> np.ndarray:
@@ -142,30 +146,34 @@ def _gen_md3(rng, spec):
     return np.concatenate(parts), (200, 500, 750)
 
 
+def _length(spec: ModelSpec, default: int) -> int:
+    return default if spec.length is None else spec.length
+
+
 def _gen_t1(rng, spec):
-    length = spec.length or 3000
+    length = _length(spec, 3000)
     cps = _every(30, length)
     signal = _alternating([0.0, 4.0], cps, length)
     return signal + 0.5 * rng.standard_normal(length), cps
 
 
 def _gen_t2(rng, spec):
-    length = spec.length or 3000
+    length = _length(spec, 3000)
     cps = _every(250, length)
     return _scaled_gauss(rng, [1.0, 2.0], cps, length), cps
 
 
 def _gen_nochange_gauss(rng, spec):
-    return rng.standard_normal(spec.length or 500), ()
+    return rng.standard_normal(_length(spec, 500)), ()
 
 
 def _gen_nochange_cauchy(rng, spec):
-    return rng.standard_cauchy(spec.length or 500), ()
+    return rng.standard_cauchy(_length(spec, 500)), ()
 
 
 def _gen_nochange_pois(rng, spec):
     rate = 3.0 if spec.rate is None else float(spec.rate)
-    return rng.poisson(rate, spec.length or 500).astype(float), ()
+    return rng.poisson(rate, _length(spec, 500)).astype(float), ()
 
 
 _GENERATORS = {

@@ -46,6 +46,18 @@ class TestSimulate:
         assert code == 1
         assert "unknown model" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["NOCHANGE_GAUSS", "--length", "0"], ["NOCHANGE_GAUSS", "--length", "-5"],
+                 ["NOCHANGE_GAUSS(0)"], ["T1", "--length", "0"]],
+    )
+    def test_non_positive_length_exit_1(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, "simulate", "--model", *argv, "--seed", "1",
+                             "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert "length must be >= 1" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestDetect:
     def test_noise_gives_empty_changepoints(self, tmp_path, capsys):
@@ -201,6 +213,20 @@ class TestStudy:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_non_positive_reps_fails_cleanly(self, capsys, reps):
+        code, out, err = run(capsys, "study", "--model", "M1", "--reps", reps)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error:") and "reps must be >= 1" in err
+
+    def test_zero_length_fails_cleanly(self, capsys):
+        code, out, err = run(capsys, "study", "--model", "NOCHANGE_GAUSS", "--reps", "1",
+                             "--length", "0")
+        assert code == 1
+        assert out == ""
+        assert "length must be >= 1" in err
+
     def test_stdout_report(self, capsys):
         code, out, _ = run(capsys, "study", "--model", "NC", "--reps", "2",
                            "--stop", "threshold")
@@ -238,6 +264,37 @@ class TestEvaluate:
                            "--est", str(est), "--T", "100")
         assert code == 1
         assert "invalid JSON" in err
+
+    def evaluate(self, tmp_path, capsys, truth, est, length):
+        (tmp_path / "truth.json").write_text(json.dumps(truth))
+        (tmp_path / "est.json").write_text(json.dumps(est))
+        return run(capsys, "evaluate", "--truth", str(tmp_path / "truth.json"),
+                   "--est", str(tmp_path / "est.json"), "--T", str(length))
+
+    def test_boolean_positions_rejected(self, tmp_path, capsys):
+        code, out, err = self.evaluate(tmp_path, capsys, [True, False], [50], 200)
+        assert code == 1
+        assert out == ""
+        assert "truth.json: expected a list of integers" in err
+
+    @pytest.mark.parametrize("est", [[250], [-3], [0], [200], [7, 7], [9, 3]])
+    def test_positions_outside_range_or_unordered_rejected(self, tmp_path, capsys, est):
+        code, out, err = self.evaluate(tmp_path, capsys, [100], est, 200)
+        assert code == 1
+        assert out == ""
+        assert "est.json: change-points must" in err
+
+    @pytest.mark.parametrize("length", ["0", "1", "-4"])
+    def test_length_below_two_rejected(self, tmp_path, capsys, length):
+        code, out, err = self.evaluate(tmp_path, capsys, [], [], length)
+        assert code == 1
+        assert out == ""
+        assert "--T must be >= 2" in err
+
+    def test_boundary_positions_accepted(self, tmp_path, capsys):
+        code, out, _ = self.evaluate(tmp_path, capsys, [1], [199], 200)
+        assert code == 0
+        assert float(out.strip()) == pytest.approx(198 / 199)
 
 
 class TestDetectJson:

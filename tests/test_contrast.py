@@ -187,14 +187,24 @@ class TestGridPoints:
     def test_mode_and_sorting(self, rng):
         x = random_series(rng, max_len=50)
         ep = grid_points(x, 17)
-        assert ep.mode == ("full" if len(x) == 17 else "grid")
-        assert len(ep) == 17
+        assert ep.mode == ("full" if len(x) <= 17 else "grid")
+        assert len(ep) == min(17, len(x))
         assert np.all(np.diff(ep.points) >= 0)
         assert np.all(np.isin(ep.points, x))
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
             grid_points([1.0, 2.0], 0)
+
+    def test_size_capped_at_length(self, rng):
+        # q >= T gives every data value once, in full mode, never a repeat
+        x = rng.standard_normal(200)
+        ep = DetectorConfig(eval_mode="grid", grid_size=300).eval_points_for(x)
+        assert ep.mode == "full" and len(ep) == 200
+        assert np.array_equal(ep.points, np.sort(x))
+        for q in (200, 201, 1000):
+            assert np.array_equal(grid_points(x, q).points, np.sort(x))
+            assert grid_points(x, q).mode == "full"
 
     def test_full_points_are_data(self, rng):
         for n in (1, 2, 3, 59, 1000, 1600):

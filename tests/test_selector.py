@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from rankseg import (
     solution_path,
     st_likelihood,
 )
-from rankseg.selector import SolutionPath
+from rankseg.selector import SolutionPath, _xlogx
 from rankseg.simulate import ModelSpec, generate
 
 from conftest import naive_cusum, naive_norm
@@ -108,6 +112,33 @@ class TestStLikelihood:
             st_likelihood(np.arange(10.0), [4, 4])
         with pytest.raises(ValueError):
             st_likelihood(np.arange(10.0), [10])
+
+
+class TestEntropyTerm:
+    def test_zero_convention_and_values(self):
+        p = np.array([0.0, 0.25, 0.5, 1.0])
+        got = _xlogx(p)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert got[1] == pytest.approx(0.25 * math.log(0.25), abs=1e-15)
+        assert got[2] == pytest.approx(0.5 * math.log(0.5), abs=1e-15)
+        assert p.tolist() == [0.0, 0.25, 0.5, 1.0]  # input untouched
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency of the package
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, rankseg\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBicSelect:

@@ -64,6 +64,15 @@ class TestCatalogue:
         with pytest.raises(ValueError):
             generate(ModelSpec("M7", 0))
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length"):
+            ModelSpec("NOCHANGE_GAUSS", 0, length=length)
+
+    def test_length_one_is_kept(self):
+        for model in ("NOCHANGE_GAUSS", "NOCHANGE_CAUCHY", "NOCHANGE_POIS", "T1", "T2"):
+            assert len(generate(ModelSpec(model, 0, length=1))) == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("model", ["NC", "MM_POIS", "MD2", "T2"])
