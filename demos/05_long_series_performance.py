@@ -34,7 +34,7 @@ for length in (3000, 6000, 9000):
 series = generate(ModelSpec("T2", 0, length=3000))
 for label, overrides in [
     ("defaults (300 order statistics + windows)", {}),
-    ("full evaluation set + windows", {"eval_mode": "full"}),
+    ("full evaluation set + windows", {"grid": "full"}),
 ]:
     elapsed, result = timed(series, **overrides)
     print(

@@ -21,7 +21,6 @@ from .contrast import (
 )
 from .detector import (
     DetectorConfig,
-    RestartRule,
     Segmentation,
     StopRule,
     default_constant,
@@ -54,7 +53,6 @@ __all__ = [
     "grid_points",
     "norm_value",
     "DetectorConfig",
-    "RestartRule",
     "Segmentation",
     "StopRule",
     "default_constant",

@@ -8,7 +8,8 @@ Exit codes: 0 on success (regardless of how many change-points were found),
 1 for unreadable, non-numeric or non-finite input, invalid settings and
 runtime failures, 2 for bad command lines (argparse), 3 for an empty input
 series. The ``detect`` document is ``Segmentation.to_dict()`` plus
-``runtime_ms``.
+``runtime_ms``. Each detector flag sets the ``DetectorConfig`` field named by
+its ``dest`` and takes its default from ``DetectorConfig()``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 from .contrast import _check_positions
 from .detector import (
     DEFAULT_GRID_SIZE,
+    FULL_EVAL_MAX,
     SCHEMA_VERSION,
     DetectorConfig,
     Norm,
-    RestartRule,
     StopRule,
 )
 from .evaluation import hausdorff, largest_segment, replicate_study
@@ -69,40 +70,27 @@ def _read_series(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _word_or_int(flag: str, value, words: dict):
+    """A flag value that is one of ``words`` (mapped) or an integer."""
+    if value in words:
+        return words[value]
+    try:
+        return int(value)
+    except ValueError:
+        choices = ", ".join(map(repr, words))
+        raise CliError(f"{flag} expects {choices} or an integer, got {value!r}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> DetectorConfig:
-    if args.grid == "full":
-        eval_mode, grid_size = "full", DEFAULT_GRID_SIZE
-    elif args.grid == "auto":
-        eval_mode, grid_size = "auto", DEFAULT_GRID_SIZE
-    else:
-        try:
-            grid_size = int(args.grid)
-        except ValueError:
-            raise CliError(f"--grid expects 'full', 'auto' or an integer, got {args.grid!r}") from None
-        eval_mode = "grid"
-
-    if args.split == "auto":
-        split: int | str | None = "auto"
-    elif args.split == "off":
-        split = None
-    else:
-        try:
-            split = int(args.split)
-        except ValueError:
-            raise CliError(f"--split expects 'auto', 'off' or an integer, got {args.split!r}") from None
-
-    rescale = {"auto": None, "on": True, "off": False}[args.rescale]
     try:
         return DetectorConfig(
             expansion_step=args.expansion_step,
-            norm=Norm(args.norm),
-            threshold_constant=args.const,
-            stop=StopRule(args.stop),
-            eval_mode=eval_mode,
-            grid_size=grid_size,
-            rescale=rescale,
-            restart=RestartRule(args.restart),
-            split=split,
+            norm=args.norm,
+            threshold_constant=args.threshold_constant,
+            stop=args.stop,
+            grid=_word_or_int("--grid", args.grid, {"auto": "auto", "full": "full"}),
+            rescale=args.rescale,
+            split=_word_or_int("--split", args.split, {"auto": "auto", "off": None}),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -227,30 +215,39 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_RESCALE = {"auto": None, "on": True, "off": False}
+
+
+def _rescale_flag(text: str) -> bool | None:
+    try:
+        return _RESCALE[text]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"expected on, off or auto, got {text!r}") from None
+
+
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--norm", choices=[n.value for n in Norm], default="linf")
-    parser.add_argument(
-        "--lambda", dest="expansion_step", type=int, default=15, metavar="N",
-        help="interval expansion step (default 15)",
-    )
-    parser.add_argument(
-        "--const", type=float, default=None, metavar="C",
-        help="threshold constant (default: calibrated per norm)",
-    )
-    parser.add_argument("--stop", choices=[s.value for s in StopRule], default="bic")
-    parser.add_argument(
-        "--grid", default="auto", metavar="Q|full",
-        help="evaluation points: 'full' (all data values), 'auto' or a number of "
-        "equally spaced order statistics (default auto)",
-    )
-    parser.add_argument("--rescale", choices=["on", "off", "auto"], default="auto")
-    parser.add_argument(
-        "--restart", choices=[r.value for r in RestartRule], default="interval-end"
-    )
-    parser.add_argument(
-        "--split", default="auto", metavar="auto|off|N",
-        help="window length for splitting long series (default auto)",
-    )
+    defaults = DetectorConfig().to_dict()
+    group = parser.add_argument_group("detector settings", "one flag per DetectorConfig field")
+
+    def flag(name, dest, **kwargs):
+        group.add_argument(name, dest=dest, default=defaults[dest], **kwargs)
+
+    flag("--lambda", "expansion_step", type=int, metavar="N",
+         help="interval expansion step (default %(default)s)")
+    flag("--norm", "norm", choices=[n.value for n in Norm],
+         help="mean-dominant norm (default %(default)s)")
+    flag("--const", "threshold_constant", type=float, metavar="C",
+         help="threshold constant (default: calibrated per norm)")
+    flag("--stop", "stop", choices=[r.value for r in StopRule],
+         help="stop rule (default %(default)s)")
+    flag("--grid", "grid", metavar="auto|full|Q",
+         help="evaluation points: 'full' (all data values), Q equally spaced order "
+         f"statistics, or 'auto' (full up to T = {FULL_EVAL_MAX}, else {DEFAULT_GRID_SIZE}) "
+         "(default %(default)s)")
+    flag("--rescale", "rescale", type=_rescale_flag, metavar="on|off|auto",
+         help="rescale contrasts when ordering the solution path (auto: on for linf)")
+    flag("--split", "split", metavar="auto|off|N",
+         help="window length for splitting long series (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,12 +78,8 @@ class BicResult:
 
 
 def _overestimate_config(config: DetectorConfig) -> DetectorConfig:
-    """The relaxed scan: 80% of the constant, always on raw contrasts."""
-    return replace(
-        config,
-        threshold_constant=OVERESTIMATE_FACTOR * config.resolved_constant(),
-        rescale=False,
-    )
+    """The relaxed scan: 80% of the constant."""
+    return replace(config, threshold_constant=OVERESTIMATE_FACTOR * config.resolved_constant())
 
 
 def overestimate(series, config: DetectorConfig | None = None) -> tuple[int, ...]:

@@ -28,7 +28,8 @@ class ModelSpec:
 
     ``length`` applies to the timing and no-change families and must be
     ``>= 1`` when given; ``rate`` is the Poisson mean of the no-change Poisson
-    family. Fixed-size models ignore both.
+    family and must be finite and ``>= 0`` when given. Fixed-size models
+    ignore both.
     """
 
     model: str
@@ -39,6 +40,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.length is not None and self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
+        if self.rate is not None and not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
 
 
 def _alternating(levels, cps, length) -> np.ndarray:

@@ -100,8 +100,8 @@ def test_criterion_2_rank_invariance():
     """Full-eval detection is exactly invariant to increasing transforms."""
     models = ["M1", "V1", "MM_GAUSS", "MD2", "NC"]
     transforms = [np.exp, lambda v: 2.5 * v + 7.0]
-    threshold_cfg = DetectorConfig(stop=StopRule.THRESHOLD, eval_mode="full")
-    bic_cfg = DetectorConfig(stop=StopRule.BIC, eval_mode="full")
+    threshold_cfg = DetectorConfig(stop=StopRule.THRESHOLD, grid="full")
+    bic_cfg = DetectorConfig(stop=StopRule.BIC, grid="full")
     mismatches = 0
     checked = 0
     for i in range(50):

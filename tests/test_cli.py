@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rankseg import DetectorConfig, StopRule, segment
-from rankseg.cli import main
+from rankseg import DetectorConfig, ModelSpec, StopRule, generate, segment
+from rankseg.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -58,6 +58,34 @@ class TestSimulate:
         assert "length must be >= 1" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["NOCHANGE_POIS", "--rate", "-1"], ["NOCHANGE_POIS", "--rate", "nan"],
+                 ["NOCHANGE_POIS(inf, 50)"]],
+    )
+    def test_bad_rate_exit_1(self, tmp_path, capsys, argv):
+        # these once failed inside numpy's Poisson draw
+        code, out, err = run(capsys, "simulate", "--model", *argv, "--seed", "1",
+                             "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert "rate must be finite and >= 0" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestDetectorFlags:
+    """Each detector flag sets the DetectorConfig field named by its dest."""
+
+    FIELDS = list(DetectorConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("command", [["detect", "x.csv"], ["study", "--model", "M1"]])
+    def test_dests_are_config_fields(self, command):
+        args = vars(build_parser().parse_args(command))
+        others = {"command", "func", "input", "out", "model", "reps", "seed", "length",
+                  "rate", "csv"}
+        assert sorted(set(args) - others) == sorted(self.FIELDS)
+        # the parser's defaults are the config's defaults
+        assert DetectorConfig(**{f: args[f] for f in self.FIELDS}) == DetectorConfig()
+
 
 class TestDetect:
     def test_noise_gives_empty_changepoints(self, tmp_path, capsys):
@@ -67,7 +95,7 @@ class TestDetect:
         code, out, _ = run(capsys, "detect", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["changepoints"] == []
         assert payload["length"] == 200
         assert payload["bic"] is not None
@@ -102,17 +130,26 @@ class TestDetect:
         code, out, _ = run(
             capsys, "detect", str(path), "--norm", "l2", "--lambda", "10",
             "--const", "0.8", "--grid", "40", "--rescale", "off",
-            "--restart", "estimate", "--split", "off", "--stop", "threshold",
+            "--split", "off", "--stop", "threshold",
         )
         assert code == 0
         config = json.loads(out)["config"]
         assert config["norm"] == "l2"
         assert config["expansion_step"] == 10
         assert config["threshold_constant"] == 0.8
-        assert config["eval_mode"] == "grid"
-        assert config["grid_size"] == 40
-        assert config["restart"] == "estimate"
+        assert config["grid"] == 40
         assert config["split"] is None
+
+    def test_rescale_on_threshold_stays_quiet_on_noise(self, tmp_path, capsys):
+        # the rescaled threshold scan once returned 31 change-points here
+        path = tmp_path / "x.csv"
+        write_series(path, generate(ModelSpec("NOCHANGE_GAUSS", 0, length=500)).values)
+        code, out, _ = run(capsys, "detect", str(path), "--stop", "threshold",
+                           "--rescale", "on")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["changepoints"] == []
+        assert payload["config"]["rescale"] is True
 
     def test_l1_without_constant_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -220,6 +257,14 @@ class TestStudy:
         assert out == ""
         assert err.startswith("rankseg: error:") and "reps must be >= 1" in err
 
+    def test_negative_rate_fails_cleanly(self, capsys):
+        # this once exited 0 with a numpy error in every replication
+        code, out, err = run(capsys, "study", "--model", "NOCHANGE_POIS", "--rate", "-1",
+                             "--reps", "2", "--stop", "threshold")
+        assert code == 1
+        assert out == ""
+        assert "rate must be finite and >= 0" in err
+
     def test_zero_length_fails_cleanly(self, capsys):
         code, out, err = run(capsys, "study", "--model", "NOCHANGE_GAUSS", "--reps", "1",
                              "--length", "0")
@@ -321,7 +366,7 @@ class TestDetectJson:
         rng = np.random.default_rng(5)
         values = np.concatenate([rng.normal(0, 1, 70), rng.normal(4, 1, 70)])
         payload = self.check(tmp_path, capsys, values, DetectorConfig())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["bic"]["chosen_j"] == len(payload["changepoints"])
         assert sorted(payload["solution_path"][: payload["bic"]["chosen_j"]]) == (
             payload["changepoints"]

@@ -199,7 +199,7 @@ class TestGridPoints:
     def test_size_capped_at_length(self, rng):
         # q >= T gives every data value once, in full mode, never a repeat
         x = rng.standard_normal(200)
-        ep = DetectorConfig(eval_mode="grid", grid_size=300).eval_points_for(x)
+        ep = DetectorConfig(grid=300).eval_points_for(x)
         assert ep.mode == "full" and len(ep) == 200
         assert np.array_equal(ep.points, np.sort(x))
         for q in (200, 201, 1000):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from rankseg import (
     CusumTable,
     DetectorConfig,
     Norm,
-    RestartRule,
     StopRule,
     default_constant,
     detect,
@@ -148,8 +148,6 @@ class TestDetectorConfig:
         assert cfg.norm is Norm.LINF
         assert cfg.resolved_constant() == 0.9
         assert cfg.stop is StopRule.BIC
-        assert cfg.restart is RestartRule.INTERVAL_END
-        assert cfg.scan_rescale() is False
         assert cfg.path_rescale() is True
 
     def test_l2_constant_and_rescale(self):
@@ -185,7 +183,7 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(threshold_constant=-1.0)
         with pytest.raises(ValueError):
-            DetectorConfig(eval_mode="quantile")
+            DetectorConfig(grid="quantile")
         with pytest.raises(ValueError):
             DetectorConfig(split="sometimes")
 
@@ -200,8 +198,8 @@ class TestDetectorConfig:
         [
             ("expansion_step", 7.5),
             ("expansion_step", True),
-            ("grid_size", 2.5),
-            ("grid_size", True),
+            ("grid", 2.5),
+            ("grid", True),
             ("split", 150.5),
             ("split", False),
         ],
@@ -212,7 +210,7 @@ class TestDetectorConfig:
 
     def test_numpy_integers_accepted(self):
         cfg = DetectorConfig(
-            expansion_step=np.int64(10), grid_size=np.int32(50), split=np.int64(900)
+            expansion_step=np.int64(10), grid=np.int32(50), split=np.int64(900)
         )
         assert cfg.window_length(1000) == 900
 
@@ -220,9 +218,50 @@ class TestDetectorConfig:
         cfg = DetectorConfig(norm="l2", threshold_constant=0.7, split=900)
         doc = cfg.to_dict()
         assert list(doc) == [*DetectorConfig.__dataclass_fields__, "resolved"]
-        assert list(doc["resolved"]) == ["threshold_constant", "scan_rescale", "path_rescale"]
+        assert list(doc["resolved"]) == ["threshold_constant", "path_rescale"]
         assert doc["norm"] == "l2" and doc["split"] == 900
         assert doc["resolved"]["threshold_constant"] == 0.7
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", 1j])
+    def test_non_real_constant_rejected(self, bad):
+        # True was once accepted as 1.0 and echoed as true; a string raised
+        # TypeError from math.isfinite
+        with pytest.raises(ValueError, match="real number"):
+            DetectorConfig(threshold_constant=bad)
+
+    def test_numbers_stored_as_python_types(self):
+        # numpy numbers once made to_dict() fail json.dumps
+        cfg = DetectorConfig(
+            expansion_step=np.int64(10),
+            threshold_constant=np.float32(0.75),
+            grid=np.int64(40),
+            split=np.int32(900),
+        )
+        for name, kind in [
+            ("expansion_step", int), ("threshold_constant", float), ("grid", int), ("split", int)
+        ]:
+            assert type(getattr(cfg, name)) is kind
+        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=200))
+        for config in (cfg, DetectorConfig(expansion_step=np.int64(10))):
+            doc = json.loads(json.dumps(segment(x, config).to_dict()))
+            assert doc["config"]["expansion_step"] == 10
+        assert doc["config"]["grid"] == "auto"
+
+    @pytest.mark.parametrize("T", [600, 1000, 1001, 1500])
+    def test_integer_grid_is_grid_points(self, T):
+        # on both sides of the auto cut-off at T = 1000
+        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=T))
+        for q in (1, 50, 300, 1000, T):
+            got = DetectorConfig(grid=q).eval_points_for(x)
+            want = grid_points(x, q)
+            assert got.mode == want.mode
+            assert np.array_equal(got.points, want.points)
+
+    def test_full_grid_above_auto_cutoff(self):
+        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1001))
+        ep = DetectorConfig(grid="full").eval_points_for(x)
+        assert ep.mode == "full" and len(ep) == 1001
+        assert np.array_equal(ep.points, np.sort(x.values))
 
 
 class TestDetect:
@@ -279,7 +318,7 @@ class TestDetect:
         assert a.scores == b.scores
 
     def test_monotone_transform_invariance(self):
-        cfg = DetectorConfig(stop=StopRule.THRESHOLD, eval_mode="full")
+        cfg = DetectorConfig(stop=StopRule.THRESHOLD, grid="full")
         for seed in range(5):
             series = generate(ModelSpec("MM_GAUSS", seed))
             base = detect(series, cfg).changepoints
@@ -324,6 +363,16 @@ class TestDetect:
             assert len(set(cps)) == len(cps)
             assert all(s > threshold(0.9, len(series)) for s in seg.scores)
 
+    def test_rescale_leaves_threshold_scan_raw(self):
+        # rescaling applies to the solution path only; a rescaled scan once
+        # tested contrasts divided by the indicator deviations against the
+        # raw-contrast threshold and returned 25-34 change-points on noise
+        rescaled = DetectorConfig(stop=StopRule.THRESHOLD, rescale=True)
+        for model in ("NOCHANGE_GAUSS", "NOCHANGE_CAUCHY"):
+            for seed in range(10):
+                x = generate(ModelSpec(model, seed, length=500))
+                assert detect(x, rescaled).changepoints == detect(x, THRESHOLD).changepoints
+
     def test_scan_budget(self):
         # each scan of [s, e] examines at most 2K intervals and every
         # detection spawns at most one further scan
@@ -333,19 +382,6 @@ class TestDetect:
             T = len(series)
             k = sum(side == "right" for *_, side in interval_sequences(1, T, 15, T))
             assert seg.intervals_evaluated <= 2 * k * (seg.n_changepoints + 1)
-
-    def test_restart_at_estimate(self):
-        rng = np.random.default_rng(11)
-        x = np.concatenate([rng.normal(0.0, 1.0, 50), rng.normal(10.0, 1.0, 50)])
-        cfg = DetectorConfig(stop=StopRule.THRESHOLD, restart=RestartRule.AT_ESTIMATE)
-        seg = detect(x, cfg)
-        assert len(seg.changepoints) == 1
-        assert abs(seg.changepoints[0] - 50) <= 2
-        # terminates and stays deterministic on busy multi-change data
-        series = generate(ModelSpec("MM_GAUSS2", 5))
-        a = detect(series, cfg).changepoints
-        assert a == detect(series, cfg).changepoints
-        assert all(b > a_ for a_, b in zip(a, a[1:]))
 
     def test_window_split_offsets(self):
         # jumps at 1000 and 3000 live in different windows of a split run

@@ -101,7 +101,7 @@ class TestReplicateStudy:
     def test_report_serialises(self):
         report = replicate_study("M1", DetectorConfig(), reps=2, base_seed=0)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["model"] == "M1"
         assert sum(payload["buckets"].values()) == 2
         row = report.csv_row()

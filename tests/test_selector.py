@@ -253,7 +253,7 @@ class TestDetectBic:
         assert abs(seg.changepoints[0] - 60) <= 2
 
     def test_exp_transform_invariance(self):
-        cfg = DetectorConfig(eval_mode="full")
+        cfg = DetectorConfig(grid="full")
         for seed in range(5):
             series = generate(ModelSpec("MM_GAUSS", seed))
             base = detect_bic(series, cfg).changepoints

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestCatalogue:
     def test_non_positive_length_rejected(self, length):
         with pytest.raises(ValueError, match="length"):
             ModelSpec("NOCHANGE_GAUSS", 0, length=length)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite and >= 0"):
+            ModelSpec("NOCHANGE_POIS", 0, rate=rate)
+
+    def test_zero_rate_is_kept(self):
+        series = generate(ModelSpec("NOCHANGE_POIS", 0, length=20, rate=0.0))
+        assert np.all(series.values == 0.0)
 
     def test_length_one_is_kept(self):
         for model in ("NOCHANGE_GAUSS", "NOCHANGE_CAUCHY", "NOCHANGE_POIS", "T1", "T2"):
