@@ -24,13 +24,13 @@ x = np.concatenate([rng.normal(0.0, 1.0, 120), rng.normal(2.0, 1.0, 120)])
 T = len(x)
 
 # Row b of the contrast matrix compares the ECDFs of X_1..X_b and
-# X_{b+1}..X_T at every data value; its sup norm peaks near the true change.
+# X_{b+1}..X_T at every order statistic; its sup norm peaks near the true change.
 matrix = CusumTable(x, grid_points(x, T)).profile_matrix(1, T)
 profile = norm_value(Norm.LINF, matrix)
 peak = 1 + int(np.argmax(profile))
 zeta = threshold(0.9, T)
 print(f"series length {T}, true change at 120")
-print(f"contrast matrix {matrix.shape[0]} splits x {matrix.shape[1]} points")
+print(f"contrast matrix {matrix.shape[0]} splits x {matrix.shape[1]} levels")
 print(f"profile peak at b={peak} with value {profile.max():.3f}")
 print(f"detection threshold 0.9 * sqrt(log T) = {zeta:.3f}")
 

@@ -1,7 +1,7 @@
-"""Long-series practicalities: sparse evaluation points, windowing, scaling in T.
+"""Long-series practicalities: sparse evaluation levels, windowing, scaling in T.
 
 On long inputs the detector defaults to (a) 300 equally spaced order
-statistics as evaluation points instead of all T data values and (b) cutting
+statistics as evaluation levels instead of all T of them and (b) cutting
 the series into windows of 2000. This script measures what those two
 switches buy.
 """

@@ -241,8 +241,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     flag("--stop", "stop", choices=[r.value for r in StopRule],
          help="stop rule (default %(default)s)")
     flag("--grid", "grid", metavar="auto|full|Q",
-         help="evaluation points: 'full' (all data values), Q equally spaced order "
-         f"statistics, or 'auto' (full up to T = {FULL_EVAL_MAX}, else {DEFAULT_GRID_SIZE}) "
+         help="evaluation levels: 'full' (all T order statistics), Q equally spaced "
+         f"ones, or 'auto' (full up to T = {FULL_EVAL_MAX}, else {DEFAULT_GRID_SIZE}) "
          "(default %(default)s)")
     flag("--rescale", "rescale", type=_rescale_flag, metavar="on|off|auto",
          help="rescale contrasts when ordering the solution path (auto: on for linf)")

@@ -1,16 +1,19 @@
-"""Evaluation points, the prefix-count table, its contrast kernel and the norms.
+"""Ranks, evaluation levels, the prefix-count table, its contrast kernel and the norms.
 
-Everything here works on the ranks of the data only: the raw values enter
-exclusively through indicators ``1{X_t <= u}`` and every point ``u`` is itself
-an order statistic of the series, so all derived quantities are invariant
-under strictly increasing transformations of the series at every length.
+Everything here works on the ranks of the data only. ``Series.ranks`` turns
+the values into integer min-ranks once, when the series enters, and nothing
+downstream reads the values again: an indicator ``1{X_t <= x_(k)}`` is
+exactly ``1{r_t <= k}``, ties included. All derived quantities are therefore
+invariant under strictly increasing transformations of the series at every
+length.
 
-- ``EvalPoints`` holds the points ``u``; ``grid_points`` picks ``q`` equally
-  spaced order statistics, which for ``q = T`` are all the data values.
-- ``CusumTable`` holds the prefix counts of the indicators at those points.
+- ``EvalPoints`` holds the levels ``k`` at which the indicators are taken;
+  ``grid_points`` picks ``q`` equally spaced levels, which for ``q = T`` are
+  all the order statistics ``1..T``.
+- ``CusumTable`` holds the prefix counts of the indicators at those levels.
   Its one kernel turns two prefix lookups into the weighted two-sample ECDF
   contrast; ``profile_matrix`` (every split of an interval) and ``row`` (one
-  split) are two row ranges of it. ``indicator_sd`` is the per-point rescale
+  split) are two row ranges of it. ``indicator_sd`` is the per-level rescale
   deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
   along the last axis and ``norm_value`` is its validated public form.
@@ -18,8 +21,10 @@ under strictly increasing transformations of the series at every length.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +40,15 @@ __all__ = [
 
 FULL = "full"
 GRID = "grid"
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
@@ -79,6 +93,16 @@ class Series:
     def __len__(self) -> int:
         return int(self.values.size)
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Integer min-ranks ``r_t = #{s : X_s < X_t} + 1``, computed once.
+
+        Ties share the smallest rank of their group, so ``X_t <= x_(k)``
+        exactly when ``r_t <= k``. The pipeline reads the values only here.
+        """
+        v = self.values
+        return np.searchsorted(np.sort(v), v, "left") + 1
+
 
 def as_series(data) -> Series:
     """Coerce an array-like (or pass through a ``Series``) to a ``Series``."""
@@ -89,67 +113,73 @@ def as_series(data) -> Series:
 
 @dataclass(frozen=True)
 class EvalPoints:
-    """Points at which the indicator transforms are evaluated.
+    """Levels at which the indicator transforms are evaluated.
 
-    ``mode`` is ``"full"`` when the points are all ``T`` data values of the
-    series (Q = T) and ``"grid"`` for a subset of ``Q`` order statistics,
-    used to cut computation on long series.
+    Level ``k`` is the indicator ``1{r_t <= k}``, i.e. ``1{X_t <= x_(k)}``;
+    levels are weakly increasing integers ``>= 0``, and a float threshold
+    ``u`` is exactly level ``#{t : X_t <= u}``. ``mode`` is ``"full"`` for
+    all of ``1..T`` (Q = T) and ``"grid"`` for a subset, used to cut
+    computation on long series.
     """
 
-    points: np.ndarray
+    levels: np.ndarray
     mode: str
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 1 or points.size < 1:
-            raise ValueError("evaluation points must be a nonempty 1-d sequence")
-        if np.any(np.diff(points) < 0):
-            raise ValueError("evaluation points must be sorted ascending")
+        levels = np.asarray(self.levels)
+        if levels.ndim != 1 or levels.size < 1:
+            raise ValueError("evaluation levels must be a nonempty 1-d sequence")
+        if not np.issubdtype(levels.dtype, np.integer):
+            raise ValueError(f"evaluation levels must be integers, got {levels.dtype}")
+        if levels[0] < 0 or np.any(np.diff(levels) < 0):
+            raise ValueError("evaluation levels must be >= 0 and sorted ascending")
         if self.mode not in (FULL, GRID):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "levels", levels.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
-        return int(self.points.size)
+        return int(self.levels.size)
 
 
 def grid_points(series: Series, q: int) -> EvalPoints:
-    """``min(q, T)`` equally spaced order statistics of the series.
+    """``min(q, T)`` equally spaced levels: order statistics of the series.
 
-    Returns ``x_(k_j)`` with ``k_j = ceil(j * T / (q + 1))`` for ``j = 1..q``
-    (1-based ranks). ``q`` is capped at ``T``, so no point is repeated; for
-    ``q >= T`` this is ``k_j = j``, all data values sorted, and the mode is
-    ``"full"``; otherwise it is ``"grid"``.
+    Returns ``k_j = ceil(j * T / (q + 1))`` for ``j = 1..q``, which reads
+    only the length ``T``. ``q`` is capped at ``T``, so no level is
+    repeated; for ``q >= T`` this is ``k_j = j``, every order statistic, and
+    the mode is ``"full"``; otherwise it is ``"grid"``.
     """
-    series = as_series(series)
     if q < 1:
         raise ValueError("grid size must be >= 1")
-    T = len(series)
+    T = len(as_series(series))
     q = min(q, T)
     k = -(-np.arange(1, q + 1) * T // (q + 1))
-    return EvalPoints(np.sort(series.values)[k - 1], FULL if q == T else GRID)
+    return EvalPoints(k, FULL if q == T else GRID)
 
 
 class CusumTable:
     """Prefix indicator counts for one series against a fixed evaluation set.
 
-    ``prefix[b, q]`` holds ``#{t <= b : X_t <= u_q}`` for ``b = 0..T``
-    (1-based time), so any interval CUSUM row is two prefix lookups and a full
-    profile over ``[s, e)`` costs O((e - s) * Q) after the one-off
-    O(T * Q) build.
+    ``prefix[b, j]`` holds ``#{t <= b : r_t <= k_j}`` for ``b = 0..T``
+    (1-based time), with ``r`` the series' ranks and ``k_j`` its levels, so
+    any interval CUSUM row is two prefix lookups and a full profile over
+    ``[s, e)`` costs O((e - s) * Q) after the one-off O(T * Q) build. A level
+    above ``T`` raises ``ValueError``: the set was built for another series.
     """
 
     _BLOCK = 512  # columns per cumsum pass, bounds the boolean scratch
 
     def __init__(self, series, eval_points: EvalPoints):
         series = as_series(series)
-        x = series.values
-        u = eval_points.points
-        T, Q = x.size, u.size
+        r = series.ranks
+        k = eval_points.levels
+        T, Q = r.size, k.size
+        if k[-1] > T:
+            raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
         prefix = np.zeros((T + 1, Q), dtype=np.int32)
         for q0 in range(0, Q, self._BLOCK):
             cols = slice(q0, min(q0 + self._BLOCK, Q))
-            ind = x[:, None] <= u[None, cols]
+            ind = r[:, None] <= k[None, cols]
             np.cumsum(ind, axis=0, dtype=np.int32, out=prefix[1:, cols])
         self.length = T
         self.prefix = prefix
@@ -162,9 +192,9 @@ class CusumTable:
 
     @property
     def indicator_sd(self) -> np.ndarray:
-        """Estimated standard deviation of the indicator sequence per point.
+        """Estimated standard deviation of the indicator sequence per level.
 
-        With ``p`` the fraction of values <= u (the column total over T),
+        With ``p`` the fraction of ranks <= k (the column total over T),
         returns ``sqrt(p * (1 - p))`` clamped to 0.3 whenever ``p < 0.1`` or
         ``p > 0.9``; dividing contrasts by an unclamped near-zero deviation
         would inflate them spuriously.
@@ -175,9 +205,9 @@ class CusumTable:
     def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
         """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``.
 
-        Row ``b`` is, at every evaluation point ``u``::
+        Row ``b`` is, at every evaluation level ``k``::
 
-            sqrt(n1 * n2 / n) * (F_pre(u) - F_post(u))
+            sqrt(n1 * n2 / n) * (F_pre(x_(k)) - F_post(x_(k)))
 
         with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1`` and
         ``F_pre``, ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``.
@@ -196,8 +226,8 @@ class CusumTable:
     def profile_matrix(self, s: int, e: int) -> np.ndarray:
         """CUSUM values for every candidate ``b`` in ``[s, e)``.
 
-        Returns a float array of shape ``(e - s, Q)``; row ``k`` is the
-        contrast at ``b = s + k`` across all evaluation points.
+        Returns a float array of shape ``(e - s, Q)``; row ``i`` is the
+        contrast at ``b = s + i`` across all evaluation levels.
         """
         self._check(s, e)
         return self._contrast(s, e, s, e)

@@ -23,6 +23,7 @@ from .contrast import (
     EvalPoints,
     Norm,
     Series,
+    _check_int,
     _check_positions,
     _profile_norms,
     as_series,
@@ -48,9 +49,8 @@ SCHEMA_VERSION = 2
 # Calibrated threshold constants per norm; no calibration exists for l1.
 DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
 
-# Largest series length for which all T data values are the default
-# evaluation set; above it DEFAULT_GRID_SIZE equally spaced order statistics
-# take over.
+# Largest series length for which all T order statistics are the default
+# evaluation set; above it DEFAULT_GRID_SIZE equally spaced ones take over.
 FULL_EVAL_MAX = 1000
 DEFAULT_GRID_SIZE = 300
 
@@ -110,15 +110,6 @@ def interval_sequences(
     return out
 
 
-def _check_int(name: str, value, minimum: int) -> int:
-    """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector tuning knobs with the calibrated defaults.
@@ -138,10 +129,10 @@ class DetectorConfig:
         builds a solution path and picks the model minimising the information
         criterion.
     grid : str or int
-        Evaluation points: ``"auto"`` (all data values up to length 1000,
-        300 equally spaced order statistics beyond), ``"full"`` (all data
-        values) or a number of equally spaced order statistics, capped at
-        the series length.
+        Evaluation levels: ``"auto"`` (all ``T`` order statistics up to
+        length 1000, 300 equally spaced ones beyond), ``"full"`` (all of
+        them) or a number of equally spaced order statistics, capped at the
+        series length.
     rescale : bool, optional
         Divide contrasts by estimated indicator standard deviations when
         ranking candidates on the solution path; ``None`` enables that
@@ -195,9 +186,12 @@ class DetectorConfig:
         return bool(self.rescale)
 
     def eval_points_for(self, series: Series) -> EvalPoints:
-        """All ``T`` data values for ``"full"``, else ``grid`` order statistics."""
-        series = as_series(series)
-        T = len(series)
+        """``grid_points`` at the configured size; reads only the length ``T``.
+
+        Mode ``"full"`` (all ``T`` levels) for ``"full"``, ``"auto"`` up to
+        T = 1000 and sizes >= T; otherwise ``"grid"``.
+        """
+        T = len(as_series(series))
         if self.grid == "auto":
             q = T if T <= FULL_EVAL_MAX else DEFAULT_GRID_SIZE
         else:
@@ -289,9 +283,8 @@ def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _detect_window(values: np.ndarray, config: DetectorConfig) -> tuple[dict, int]:
+def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     """Run the scan on one window; returns {position: score} and a scan count."""
-    series = Series(values)
     T = len(series)
     if T < 2:
         return {}, 0
@@ -357,7 +350,9 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     found: dict[int, float] = {}
     n_scanned = 0
     for lo, hi in _window_bounds(T, win) if win else [(0, T)]:
-        sub_found, sub_scanned = _detect_window(series.values[lo:hi], config)
+        # an unsplit series keeps its own ranks; a window is ranked afresh
+        window = series if hi - lo == T else Series(series.values[lo:hi])
+        sub_found, sub_scanned = _detect_window(window, config)
         for pos, score in sub_found.items():
             found[pos + lo] = score
         n_scanned += sub_scanned

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contrast import _check_int, _check_positions
 from .detector import SCHEMA_VERSION, DetectorConfig
 from .selector import segment
 from .simulate import ModelSpec, generate
@@ -21,8 +22,12 @@ __all__ = [
 
 
 def largest_segment(truth, length: int) -> int:
-    """Length of the longest true segment, with sentinels 0 and T."""
-    edges = [0, *sorted(int(r) for r in truth), int(length)]
+    """Length of the longest true segment, with sentinels 0 and T.
+
+    ``truth`` is sorted, then must be distinct positions in ``[1, T-1]``.
+    """
+    truth = _check_positions(sorted(truth), length, "truth positions")
+    edges = [0, *truth, int(length)]
     return max(b - a for a, b in zip(edges, edges[1:]))
 
 
@@ -146,8 +151,8 @@ def replicate_study(
     replication is recorded with its error message rather than aborting the
     study.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    reps = _check_int("reps", reps, 1)
+    base_seed = _check_int("base_seed", base_seed, 0)
     config = config or DetectorConfig()
     records: list[Replication] = []
     for i in range(reps):

@@ -10,12 +10,13 @@ their base model drawn with the same seed.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import Series
+from .contrast import Series, _check_int
 
 __all__ = ["ModelSpec", "generate", "parse_model", "list_models"]
 
@@ -26,10 +27,11 @@ _SQRT3 = math.sqrt(3.0)
 class ModelSpec:
     """A benchmark model instance: id, seed and optional size parameters.
 
-    ``length`` applies to the timing and no-change families and must be
-    ``>= 1`` when given; ``rate`` is the Poisson mean of the no-change Poisson
-    family and must be finite and ``>= 0`` when given. Fixed-size models
-    ignore both.
+    ``seed`` is an integer ``>= 0``. ``length`` applies to the timing and
+    no-change families and must be an integer ``>= 1`` when given; ``rate``
+    is the Poisson mean of the no-change Poisson family and must be a finite
+    real ``>= 0`` when given. Numbers are stored as Python ``int``/``float``.
+    Fixed-size models ignore ``length`` and ``rate``.
     """
 
     model: str
@@ -38,10 +40,16 @@ class ModelSpec:
     rate: float | None = None
 
     def __post_init__(self):
-        if self.length is not None and self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.rate is not None and not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        if self.length is not None:
+            object.__setattr__(self, "length", _check_int("length", self.length, 1))
+        rate = self.rate
+        if rate is not None:
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ValueError(f"rate must be a real number, got {rate!r}")
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"rate must be finite and >= 0, got {rate}")
+            object.__setattr__(self, "rate", float(rate))
 
 
 def _alternating(levels, cps, length) -> np.ndarray:
@@ -175,7 +183,7 @@ def _gen_nochange_cauchy(rng, spec):
 
 
 def _gen_nochange_pois(rng, spec):
-    rate = 3.0 if spec.rate is None else float(spec.rate)
+    rate = 3.0 if spec.rate is None else spec.rate
     return rng.poisson(rate, _length(spec, 500)).astype(float), ()
 
 

@@ -35,6 +35,46 @@ def rescale_sd(values, u):
     return math.sqrt(p * (1.0 - p))
 
 
+def levels_of(values, u):
+    """The evaluation levels of thresholds ``u``: ``#{t : X_t <= u}`` each.
+
+    A table at these levels holds exactly the indicators ``1{X_t <= u}``.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array([np.count_nonzero(values <= v) for v in np.atleast_1d(u)])
+
+
+def thresholds_of(values, eval_points):
+    """The order statistics ``x_(k)`` at the levels ``k >= 1`` of ``eval_points``."""
+    return np.sort(np.asarray(values, dtype=float))[eval_points.levels - 1]
+
+
+def sorted_st_likelihood(values, breakpoints=()):
+    """S_T by sorting every segment and binary-searching the order statistics."""
+    x = np.asarray(values, dtype=float)
+    T = x.size
+    bpts = tuple(int(b) for b in breakpoints)
+    if T <= 2:
+        return 0.0
+
+    def xlogx(p):
+        return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+
+    xs = np.sort(x)
+    order_stats = xs[1 : T - 1]  # x_(l) for l = 2..T-1
+    l = np.arange(2.0, T)
+    weights = 1.0 / (l * (T - l))
+
+    total = 0.0
+    edges = [0, *bpts, T]
+    for a, b in zip(edges, edges[1:]):
+        seg = np.sort(x[a:b])
+        f = np.searchsorted(seg, order_stats, side="right") / (b - a)
+        entropy = xlogx(f) + xlogx(1.0 - f)
+        total += (b - a) * float(weights @ entropy)
+    return T * total
+
+
 def naive_norm(kind, y):
     """Mean-dominant norms computed with plain Python arithmetic."""
     d = len(y)

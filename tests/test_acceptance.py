@@ -31,7 +31,7 @@ from rankseg import (
 )
 from rankseg.simulate import ModelSpec
 
-from conftest import naive_norm, rescale_sd
+from conftest import levels_of, naive_norm, rescale_sd, thresholds_of
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -78,7 +78,8 @@ def test_criterion_1_incremental_matches_naive():
             points = grid_points(x, len(x))
         kind = [Norm.L1, Norm.L2, Norm.LINF][case % 3]
         rescale = case % 2 == 1
-        sd = [rescale_sd(x, u) for u in points.points] if rescale else None
+        thresholds = thresholds_of(x, points)
+        sd = [rescale_sd(x, u) for u in thresholds] if rescale else None
 
         table = CusumTable(x, points)
         matrix = table.profile_matrix(s, e)
@@ -86,7 +87,7 @@ def test_criterion_1_incremental_matches_naive():
             matrix /= table.indicator_sd
         got = norm_value(kind, matrix)
         for k, b in enumerate(range(s, e)):
-            expected = _naive_profile_value(x, s, e, b, points.points, kind, sd)
+            expected = _naive_profile_value(x, s, e, b, thresholds, kind, sd)
             worst = max(worst, abs(got[k] - expected))
     _verdict(
         1,
@@ -260,7 +261,7 @@ def test_criterion_8_invariant_suites():
             break
 
     def table_at(values, points):
-        return CusumTable(values, EvalPoints(np.atleast_1d(points), "grid"))
+        return CusumTable(values, EvalPoints(levels_of(values, points), "grid"))
 
     def contrast_at(values, s, e, b, u):
         return float(table_at(values, u).row(s, e, b)[0])

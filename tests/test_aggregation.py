@@ -5,7 +5,7 @@ import pytest
 
 from rankseg import CusumTable, Norm, grid_points, norm_value
 
-from conftest import naive_norm, naive_profile, random_series, rescale_sd
+from conftest import naive_norm, naive_profile, random_series, rescale_sd, thresholds_of
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
@@ -96,16 +96,16 @@ class TestAggregate:
             n = len(x)
             s = int(rng.integers(1, n - 1))
             e = int(rng.integers(s + 2, n + 1))
-            ep = grid_points(x, len(x))
-            sd = [rescale_sd(x, u) for u in ep.points] if rescale else None
-            expected = naive_profile(x, s, e, kind.value, ep.points, sd)
+            u = thresholds_of(x, grid_points(x, len(x)))
+            sd = [rescale_sd(x, v) for v in u] if rescale else None
+            expected = naive_profile(x, s, e, kind.value, u, sd)
             got = self.profile(x, s, e, kind, rescale=rescale)
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_matches_naive_grid_mode(self, rng):
         x = random_series(rng, max_len=30, min_len=8)
         ep = grid_points(x, 7)
-        expected = naive_profile(x, 2, len(x), "l2", ep.points)
+        expected = naive_profile(x, 2, len(x), "l2", thresholds_of(x, ep))
         got = self.profile(x, 2, len(x), Norm.L2, eval_points=ep)
         assert np.allclose(got, expected, atol=1e-12)
 

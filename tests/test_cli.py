@@ -265,6 +265,13 @@ class TestStudy:
         assert out == ""
         assert "rate must be finite and >= 0" in err
 
+    def test_negative_seed_fails_cleanly(self, capsys):
+        # this once exited 0 with a numpy error in every replication
+        code, out, err = run(capsys, "study", "--model", "M1", "--reps", "2", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     def test_zero_length_fails_cleanly(self, capsys):
         code, out, err = run(capsys, "study", "--model", "NOCHANGE_GAUSS", "--reps", "1",
                              "--length", "0")

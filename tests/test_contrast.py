@@ -5,12 +5,12 @@ import pytest
 
 from rankseg import CusumTable, DetectorConfig, EvalPoints, Series, grid_points, segment
 
-from conftest import ecdf, naive_cusum, random_series, rescale_sd
+from conftest import ecdf, levels_of, naive_cusum, random_series, rescale_sd, thresholds_of
 
 
 def table_at(x, points):
-    """A table of ``x`` at arbitrary points ``u``."""
-    return CusumTable(x, EvalPoints(np.atleast_1d(np.asarray(points, dtype=float)), "grid"))
+    """A table of ``x`` at arbitrary points ``u``, through their levels."""
+    return CusumTable(x, EvalPoints(levels_of(x, points), "grid"))
 
 
 def column_ecdf(x, points):
@@ -169,17 +169,19 @@ class TestGridPoints:
     def test_order_statistic_indices(self):
         # k_j = ceil(j * T / (q + 1)) picks 1-based order statistics
         x = [0.0, 4.0, 1.5]
-        assert grid_points(x, 1).points.tolist() == [1.5]
-        assert grid_points(x, 2).points.tolist() == [0.0, 1.5]
+        assert grid_points(x, 1).levels.tolist() == [2]
+        assert thresholds_of(x, grid_points(x, 1)).tolist() == [1.5]
+        assert thresholds_of(x, grid_points(x, 2)).tolist() == [0.0, 1.5]
         y = np.arange(10.0, 0.0, -1.0)
-        assert grid_points(y, 4).points.tolist() == [2.0, 4.0, 6.0, 8.0]
-        assert grid_points(y, 9).points.tolist() == list(np.arange(1.0, 10.0))
+        assert grid_points(y, 4).levels.tolist() == [2, 4, 6, 8]
+        assert thresholds_of(y, grid_points(y, 4)).tolist() == [2.0, 4.0, 6.0, 8.0]
+        assert thresholds_of(y, grid_points(y, 9)).tolist() == list(np.arange(1.0, 10.0))
 
     def test_constant_series_all_equal_points(self):
         x = np.full(1500, 7.0)
         ep = DetectorConfig().eval_points_for(x)
         assert ep.mode == "grid" and len(ep) == 300
-        assert np.all(ep.points == 7.0)
+        assert np.all(thresholds_of(x, ep) == 7.0)
         assert np.all(CusumTable(x, ep).profile_matrix(1, 1500) == 0.0)
         for stop in ("threshold", "bic"):
             assert segment(x, DetectorConfig(stop=stop)).changepoints == ()
@@ -189,8 +191,8 @@ class TestGridPoints:
         ep = grid_points(x, 17)
         assert ep.mode == ("full" if len(x) <= 17 else "grid")
         assert len(ep) == min(17, len(x))
-        assert np.all(np.diff(ep.points) >= 0)
-        assert np.all(np.isin(ep.points, x))
+        assert np.all(np.diff(ep.levels) >= 0)
+        assert np.all(np.isin(thresholds_of(x, ep), x))
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
@@ -201,9 +203,9 @@ class TestGridPoints:
         x = rng.standard_normal(200)
         ep = DetectorConfig(grid=300).eval_points_for(x)
         assert ep.mode == "full" and len(ep) == 200
-        assert np.array_equal(ep.points, np.sort(x))
+        assert np.array_equal(thresholds_of(x, ep), np.sort(x))
         for q in (200, 201, 1000):
-            assert np.array_equal(grid_points(x, q).points, np.sort(x))
+            assert np.array_equal(thresholds_of(x, grid_points(x, q)), np.sort(x))
             assert grid_points(x, q).mode == "full"
 
     def test_full_points_are_data(self, rng):
@@ -211,19 +213,23 @@ class TestGridPoints:
             x = rng.standard_normal(n)
             ep = grid_points(x, n)
             assert ep.mode == "full"
-            assert np.array_equal(ep.points, np.sort(x))
+            assert np.array_equal(ep.levels, np.arange(1, n + 1))
+            assert np.array_equal(thresholds_of(x, ep), np.sort(x))
 
     def test_commutes_with_increasing_maps(self, rng):
         x = rng.standard_normal(3000)
         for f in (np.exp, lambda v: 2.5 * v + 7.0, np.arctan):
             for q in (1, 7, 300, 2999, 3000):
-                assert np.array_equal(grid_points(f(x), q).points, f(grid_points(x, q).points))
+                assert np.array_equal(
+                    thresholds_of(f(x), grid_points(f(x), q)),
+                    f(thresholds_of(x, grid_points(x, q))),
+                )
 
 
 class TestEvalPoints:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
-            EvalPoints(np.array([2.0, 1.0]), "grid")
+            EvalPoints(np.array([2, 1]), "grid")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +237,21 @@ class TestEvalPoints:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            EvalPoints(np.array([1.0]), "quantiles")
+            EvalPoints(np.array([1]), "quantiles")
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            EvalPoints(np.array([-1, 2]), "grid")
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [True, True]])
+    def test_non_integer_levels_rejected(self, bad):
+        # a float threshold is a level only through #{x <= u}, never by casting
+        with pytest.raises(ValueError, match="integers"):
+            EvalPoints(np.array(bad), "grid")
+
+    def test_weakly_increasing_levels_accepted(self):
+        ep = EvalPoints([0, 2, 2, 5], "grid")
+        assert ep.levels.tolist() == [0, 2, 2, 5] and len(ep) == 4
 
 
 class TestCusumTable:
@@ -245,7 +265,7 @@ class TestCusumTable:
             e = int(rng.integers(s + 1, n + 1))
             got = table.profile_matrix(s, e)
             for k, b in enumerate(range(s, e)):
-                for q, u in enumerate(ep.points):
+                for q, u in enumerate(thresholds_of(x, ep)):
                     assert got[k, q] == pytest.approx(
                         naive_cusum(x, s, e, b, u), abs=1e-12
                     )
@@ -268,3 +288,43 @@ class TestCusumTable:
             table.profile_matrix(0, 3)
         with pytest.raises(ValueError):
             table.row(1, 3, 3)
+
+    def test_level_above_length_rejected(self):
+        # a set built for a longer series must not be read on a shorter one
+        x = np.arange(5.0)
+        with pytest.raises(ValueError, match="exceeds the series length 5"):
+            CusumTable(x, grid_points(np.arange(6.0), 6))
+        with pytest.raises(ValueError, match="exceeds"):
+            CusumTable(x, EvalPoints([1, 6], "grid"))
+        assert CusumTable(x, EvalPoints([0, 5], "grid")).prefix[-1].tolist() == [0, 5]
+
+    @pytest.mark.parametrize("q", [1, 7, 300, "T"])
+    def test_prefix_equals_float_comparison_on_ties(self, rng, q):
+        # the rank build reproduces the float build x_t <= x_(k) exactly
+        for _ in range(5):
+            x = rng.integers(0, 9, int(rng.integers(2, 400))).astype(float)
+            T = len(x)
+            ep = grid_points(x, T if q == "T" else q)
+            u = thresholds_of(x, ep)
+            want = np.vstack([np.zeros(len(ep), int), np.cumsum(x[:, None] <= u[None, :], axis=0)])
+            assert np.array_equal(CusumTable(x, ep).prefix, want)
+
+
+class TestRanks:
+    def test_min_ranks_with_ties(self):
+        s = Series([3.0, 1.0, 3.0, 2.0, 1.0])
+        assert s.ranks.tolist() == [4, 1, 4, 3, 1]
+
+    def test_computed_once(self):
+        s = Series(np.arange(6.0)[::-1])
+        assert s.ranks is s.ranks
+        assert s.ranks.tolist() == [6, 5, 4, 3, 2, 1]
+
+    def test_ranks_give_the_order_statistic_indicators(self, rng):
+        # X_t <= x_(k) exactly when r_t <= k, tied or not
+        for ties in (False, True):
+            x = random_series(rng, max_len=80, ties=ties)
+            r = Series(x).ranks
+            xs = np.sort(x)
+            for k in range(1, len(x) + 1):
+                assert np.array_equal(x <= xs[k - 1], r <= k)

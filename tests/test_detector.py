@@ -20,7 +20,7 @@ from rankseg import (
 from rankseg.detector import _window_bounds
 from rankseg.simulate import ModelSpec, generate
 
-from conftest import naive_interval_sequences
+from conftest import naive_interval_sequences, thresholds_of
 
 THRESHOLD = DetectorConfig(stop=StopRule.THRESHOLD)
 
@@ -255,13 +255,13 @@ class TestDetectorConfig:
             got = DetectorConfig(grid=q).eval_points_for(x)
             want = grid_points(x, q)
             assert got.mode == want.mode
-            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.levels, want.levels)
 
     def test_full_grid_above_auto_cutoff(self):
         x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1001))
         ep = DetectorConfig(grid="full").eval_points_for(x)
         assert ep.mode == "full" and len(ep) == 1001
-        assert np.array_equal(ep.points, np.sort(x.values))
+        assert np.array_equal(thresholds_of(x.values, ep), np.sort(x.values))
 
 
 class TestDetect:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rankseg import (
@@ -17,6 +18,16 @@ class TestLargestSegment:
         assert largest_segment((50,), 100) == 50
         assert largest_segment((30, 60), 100) == 40
         assert largest_segment((), 500) == 500
+
+    def test_truth_is_sorted_first(self):
+        assert largest_segment((60, 30), 100) == 40
+
+    @pytest.mark.parametrize("truth, length", [((5,), 3), ((3,), 3), ((0,), 100),
+                                               ((30, 30), 100), ((-2, 50), 100)])
+    def test_invalid_truth_rejected(self, truth, length):
+        # a position at or beyond T once counted as a segment end
+        with pytest.raises(ValueError, match="truth positions"):
+            largest_segment(truth, length)
 
 
 class TestHausdorff:
@@ -97,6 +108,23 @@ class TestReplicateStudy:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             replicate_study("M1", DetectorConfig(), reps=0)
+
+    @pytest.mark.parametrize("reps", [True, 2.0, "2"])
+    def test_non_integer_reps_rejected(self, reps):
+        # reps=True once ran one replication and reported "reps": true
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            replicate_study("M1", DetectorConfig(), reps=reps)
+
+    @pytest.mark.parametrize("base_seed", [True, -1, 1.0])
+    def test_bad_base_seed_rejected(self, base_seed):
+        # base_seed=-1 once returned a report of failed replications
+        with pytest.raises(ValueError, match="base_seed must be"):
+            replicate_study("M1", DetectorConfig(), reps=2, base_seed=base_seed)
+
+    def test_numpy_reps_reported_as_int(self):
+        report = replicate_study("M1", DetectorConfig(), reps=np.int64(2), base_seed=0)
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["reps"] == 2 and len(doc["replications"]) == 2
 
     def test_report_serialises(self):
         report = replicate_study("M1", DetectorConfig(), reps=2, base_seed=0)

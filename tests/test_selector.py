@@ -24,7 +24,7 @@ from rankseg import (
 from rankseg.selector import SolutionPath, _xlogx
 from rankseg.simulate import ModelSpec, generate
 
-from conftest import naive_cusum, naive_norm
+from conftest import naive_cusum, naive_norm, sorted_st_likelihood
 
 
 def naive_st_likelihood(values, breakpoints):
@@ -87,6 +87,30 @@ class TestStLikelihood:
             assert st_likelihood(x, bpts) == pytest.approx(
                 naive_st_likelihood(x, bpts), abs=1e-9
             )
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_sorted_oracle_bitwise(self, rng, ties):
+        # rank counts give the same floats as sorting and binary search
+        for _ in range(40):
+            t = int(rng.integers(1, 400))
+            x = rng.integers(0, 7, t).astype(float) if ties else rng.standard_normal(t)
+            n_bp = int(rng.integers(0, min(12, t - 1) + 1))
+            bpts = sorted(rng.choice(np.arange(1, t), size=n_bp, replace=False).tolist())
+            assert st_likelihood(x, bpts) == sorted_st_likelihood(x, bpts)
+
+    def test_equals_sorted_oracle_on_every_path_prefix(self):
+        series = generate(ModelSpec("T1", 0))
+        path = detect_bic(series).path
+        assert len(path) > 50
+        for j in range(len(path) + 1):
+            bpts = path.model(j)
+            assert st_likelihood(series, bpts) == sorted_st_likelihood(series.values, bpts)
+
+    def test_too_short_for_a_term(self):
+        # no order statistic strictly inside 1..T: the sum is empty
+        assert st_likelihood([4.0]) == 0.0
+        assert st_likelihood([4.0, 1.0]) == 0.0
+        assert st_likelihood([4.0, 1.0], [1]) == 0.0
 
     def test_finite_and_nonpositive(self, rng):
         for _ in range(20):

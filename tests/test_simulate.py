@@ -75,6 +75,30 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="rate must be finite and >= 0"):
             ModelSpec("NOCHANGE_POIS", 0, rate=rate)
 
+    @pytest.mark.parametrize("length", [2.5, True, "10", 10.0])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be an integer"):
+            ModelSpec("NOCHANGE_GAUSS", 0, length=length)
+
+    @pytest.mark.parametrize("rate", [True, "1.0", 1j])
+    def test_non_real_rate_rejected(self, rate):
+        # rate=True once drew Poisson(1) samples
+        with pytest.raises(ValueError, match="rate must be a real number"):
+            ModelSpec("NOCHANGE_POIS", 0, rate=rate)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+    def test_bad_seed_rejected(self, seed):
+        # seed=True once drew seed 1's series and 2.5 failed inside numpy
+        with pytest.raises(ValueError, match="seed must be"):
+            ModelSpec("M1", seed)
+
+    def test_numpy_numbers_stored_as_python(self):
+        spec = ModelSpec("NOCHANGE_POIS", np.uint32(4), length=np.int64(30), rate=np.float64(0.5))
+        assert type(spec.seed) is int and spec.seed == 4
+        assert type(spec.length) is int and spec.length == 30
+        assert type(spec.rate) is float and spec.rate == 0.5
+        assert len(generate(spec)) == 30
+
     def test_zero_rate_is_kept(self):
         series = generate(ModelSpec("NOCHANGE_POIS", 0, length=20, rate=0.0))
         assert np.all(series.values == 0.0)
