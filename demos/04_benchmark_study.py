@@ -10,7 +10,7 @@ from rankseg import DetectorConfig, Norm, StopRule, replicate_study
 
 REPS = 25
 
-config = DetectorConfig(stop=StopRule.BIC, norm=Norm.LINF, rescale=True)
+config = DetectorConfig(stop=StopRule.BIC, norm=Norm.LINF)
 
 header = f"{'model':12s} {'<=-2':>5} {'-1':>4} {'0':>4} {'1':>4} {'>=2':>4}   {'d_H':>6}  {'time':>7}"
 print(header)

@@ -40,7 +40,7 @@ from .selector import (
     solution_path,
     st_likelihood,
 )
-from .simulate import ModelSpec, generate, list_models, parse_model
+from .simulate import ModelSpec, generate, list_models
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,5 @@ __all__ = [
     "ModelSpec",
     "generate",
     "list_models",
-    "parse_model",
     "__version__",
 ]

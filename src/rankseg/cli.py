@@ -2,7 +2,8 @@
 
 Input series are CSV files with either one value per line or ``time,value``
 rows; all reported positions are 1-based. Results are emitted as versioned
-JSON so downstream goldens stay valid.
+JSON so downstream goldens stay valid. Models are named by their bare id;
+``--length`` and ``--rate`` size them.
 
 Exit codes: 0 on success (regardless of how many change-points were found),
 1 for unreadable, non-numeric or non-finite input, invalid settings and
@@ -33,7 +34,7 @@ from .detector import (
 )
 from .evaluation import hausdorff, largest_segment, replicate_study
 from .selector import segment
-from .simulate import ModelSpec, generate, list_models, parse_model
+from .simulate import ModelSpec, generate, list_models
 
 __all__ = ["main"]
 
@@ -89,8 +90,7 @@ def _config_from_args(args: argparse.Namespace) -> DetectorConfig:
             threshold_constant=args.threshold_constant,
             stop=args.stop,
             grid=_word_or_int("--grid", args.grid, {"auto": "auto", "full": "full"}),
-            rescale=args.rescale,
-            split=_word_or_int("--split", args.split, {"auto": "auto", "off": None}),
+            split=_word_or_int("--split", args.split, {"off": None}),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -122,15 +122,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _model_spec(args: argparse.Namespace, seed: int) -> ModelSpec:
     try:
-        model, params = parse_model(args.model)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if getattr(args, "length", None) is not None:
-        params["length"] = args.length
-    if getattr(args, "rate", None) is not None:
-        params["rate"] = args.rate
-    try:
-        return ModelSpec(model, seed, params.get("length"), params.get("rate"))
+        return ModelSpec(args.model, seed, args.length, args.rate)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -215,16 +207,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_RESCALE = {"auto": None, "on": True, "off": False}
-
-
-def _rescale_flag(text: str) -> bool | None:
-    try:
-        return _RESCALE[text]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"expected on, off or auto, got {text!r}") from None
-
-
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     defaults = DetectorConfig().to_dict()
     group = parser.add_argument_group("detector settings", "one flag per DetectorConfig field")
@@ -244,9 +226,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
          help="evaluation levels: 'full' (all T order statistics), Q equally spaced "
          f"ones, or 'auto' (full up to T = {FULL_EVAL_MAX}, else {DEFAULT_GRID_SIZE}) "
          "(default %(default)s)")
-    flag("--rescale", "rescale", type=_rescale_flag, metavar="on|off|auto",
-         help="rescale contrasts when ordering the solution path (auto: on for linf)")
-    flag("--split", "split", metavar="auto|off|N",
+    flag("--split", "split", metavar="off|N",
          help="window length for splitting long series (default %(default)s)")
 
 
@@ -266,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a benchmark series")
     p_sim.add_argument(
         "--model", required=True,
-        help=f"model id, e.g. {', '.join(list_models()[:4])}, ... (parameters as T1(6000))",
+        help=f"model id, e.g. {', '.join(list_models()[:4])}, ... (size it with --length/--rate)",
     )
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--length", type=int, default=None)

@@ -42,18 +42,23 @@ FULL = "full"
 GRID = "grid"
 
 
-def _check_int(name: str, value, minimum: int) -> int:
+def _check_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if type(value) is not int:  # plain ints, the common case, skip the checks
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
-    """Change-point positions as ints, strictly increasing and in ``[1, T-1]``."""
-    positions = tuple(int(r) for r in positions)
+    """Change-point positions as ints, strictly increasing and in ``[1, T-1]``.
+
+    Non-integer and bool positions are rejected, not truncated.
+    """
+    positions = tuple(_check_int(what, r) for r in positions)
     if any(r < 1 or r > length - 1 for r in positions):
         raise ValueError(f"{what} must lie in [1, {length - 1}]")
     if any(b <= a for a, b in zip(positions, positions[1:])):
@@ -149,8 +154,7 @@ def grid_points(series: Series, q: int) -> EvalPoints:
     repeated; for ``q >= T`` this is ``k_j = j``, every order statistic, and
     the mode is ``"full"``; otherwise it is ``"grid"``.
     """
-    if q < 1:
-        raise ValueError("grid size must be >= 1")
+    q = _check_int("grid size", q, 1)
     T = len(as_series(series))
     q = min(q, T)
     k = -(-np.arange(1, q + 1) * T // (q + 1))

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Version of the JSON documents the library and the command line write.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Calibrated threshold constants per norm; no calibration exists for l1.
 DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
@@ -54,8 +54,8 @@ DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
 FULL_EVAL_MAX = 1000
 DEFAULT_GRID_SIZE = 300
 
-# Default windowing: series longer than this are cut into windows of this
-# length, the last window absorbing a remainder shorter than half a window.
+# Default window length: longer series are cut into windows of this length,
+# the last window absorbing a remainder shorter than half a window.
 SPLIT_LENGTH = 2000
 
 
@@ -120,7 +120,10 @@ class DetectorConfig:
         Interval growth per expansion; must stay below the minimum true
         spacing for the isolation guarantee to hold.
     norm : Norm
-        Mean-dominant norm used for aggregation.
+        Mean-dominant norm used for aggregation. Under ``linf`` the
+        solution path ranks candidates on contrasts divided by the estimated
+        indicator standard deviations; thresholded scans always use raw
+        contrasts, which the calibrated constants assume.
     threshold_constant : float, optional
         Constant in the ``C * sqrt(log T)`` threshold. ``None`` selects the
         calibrated default for the norm (0.9 for linf, 0.6 for l2).
@@ -133,14 +136,9 @@ class DetectorConfig:
         length 1000, 300 equally spaced ones beyond), ``"full"`` (all of
         them) or a number of equally spaced order statistics, capped at the
         series length.
-    rescale : bool, optional
-        Divide contrasts by estimated indicator standard deviations when
-        ranking candidates on the solution path; ``None`` enables that
-        exactly for the linf norm. Thresholded scans always use raw
-        contrasts, which the calibrated constants assume.
-    split : int, str or None
-        ``"auto"`` cuts series longer than 2000 into windows of 2000; an
-        integer gives a custom window length; ``None`` disables splitting.
+    split : int or None
+        Window length (at least 2): longer series are cut into windows of
+        this length, 2000 by default; ``None`` disables splitting.
 
     Validated numbers are stored as Python ``int``/``float``, so
     :meth:`to_dict` is JSON-ready.
@@ -151,8 +149,7 @@ class DetectorConfig:
     threshold_constant: float | None = None
     stop: StopRule = StopRule.BIC
     grid: str | int = "auto"
-    rescale: bool | None = None
-    split: int | str | None = "auto"
+    split: int | None = SPLIT_LENGTH
 
     def __post_init__(self):
         def store(name, value):
@@ -170,7 +167,7 @@ class DetectorConfig:
             store("threshold_constant", float(c))
         if self.grid not in ("auto", "full"):
             store("grid", _check_int("grid", self.grid, 1))
-        if self.split not in ("auto", None):
+        if self.split is not None:
             store("split", _check_int("split", self.split, 2))
         self.resolved_constant()  # fail at construction, not mid-scan
 
@@ -178,12 +175,6 @@ class DetectorConfig:
         if self.threshold_constant is not None:
             return self.threshold_constant
         return default_constant(self.norm)
-
-    def path_rescale(self) -> bool:
-        """Whether solution-path ordering rescales contrasts (auto: linf)."""
-        if self.rescale is None:
-            return self.norm is Norm.LINF
-        return bool(self.rescale)
 
     def eval_points_for(self, series: Series) -> EvalPoints:
         """``grid_points`` at the configured size; reads only the length ``T``.
@@ -200,10 +191,9 @@ class DetectorConfig:
 
     def window_length(self, length: int) -> int | None:
         """Window size for splitting, or ``None`` when no split applies."""
-        if self.split is None:
+        if self.split is None or length <= self.split:
             return None
-        win = SPLIT_LENGTH if self.split == "auto" else self.split
-        return win if length > win else None
+        return self.split
 
     def to_dict(self) -> dict:
         """Raw settings plus the resolved values actually in effect."""
@@ -213,12 +203,8 @@ class DetectorConfig:
             "threshold_constant": self.threshold_constant,
             "stop": self.stop.value,
             "grid": self.grid,
-            "rescale": self.rescale,
             "split": self.split,
-            "resolved": {
-                "threshold_constant": self.resolved_constant(),
-                "path_rescale": self.path_rescale(),
-            },
+            "resolved": {"threshold_constant": self.resolved_constant()},
         }
 
 
@@ -243,7 +229,8 @@ class Segmentation:
     def __post_init__(self):
         if len(self.changepoints) != len(self.scores):
             raise ValueError("changepoints and scores must align")
-        _check_positions(self.changepoints, self.length, "changepoints")
+        cps = _check_positions(self.changepoints, self.length, "changepoints")
+        object.__setattr__(self, "changepoints", cps)
 
     @property
     def n_changepoints(self) -> int:
@@ -350,8 +337,8 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     found: dict[int, float] = {}
     n_scanned = 0
     for lo, hi in _window_bounds(T, win) if win else [(0, T)]:
-        # an unsplit series keeps its own ranks; a window is ranked afresh
-        window = series if hi - lo == T else Series(series.values[lo:hi])
+        # min-ranks of the global ranks are the window's own ranks
+        window = series if hi - lo == T else Series(series.ranks[lo:hi])
         sub_found, sub_scanned = _detect_window(window, config)
         for pos, score in sub_found.items():
             found[pos + lo] = score

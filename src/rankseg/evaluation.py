@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,19 +147,18 @@ def replicate_study(
 ) -> StudyReport:
     """Run seeded replications of one model and aggregate the outcomes.
 
-    Seeds run from ``base_seed`` to ``base_seed + reps - 1``; a failing
-    replication is recorded with its error message rather than aborting the
-    study.
+    Seeds run from ``base_seed`` to ``base_seed + reps - 1``. A bad model id
+    or size raises ``ValueError`` before any run; a failing replication is
+    recorded with its error message rather than aborting the study.
     """
     reps = _check_int("reps", reps, 1)
     base_seed = _check_int("base_seed", base_seed, 0)
+    spec = ModelSpec(model, base_seed, length=length, rate=rate)
     config = config or DetectorConfig()
     records: list[Replication] = []
-    for i in range(reps):
-        seed = base_seed + i
-        spec = ModelSpec(model, seed, length=length, rate=rate)
+    for seed in range(base_seed, base_seed + reps):
         try:
-            series = generate(spec)
+            series = generate(replace(spec, seed=seed))
             start = time.perf_counter()
             result = segment(series, config)
             elapsed = time.perf_counter() - start
@@ -184,7 +183,7 @@ def replicate_study(
     distances = [r.distance for r in records if r.distance is not None]
     runtimes = [r.runtime for r in records if r.error is None]
     return StudyReport(
-        model=model,
+        model=spec.model,
         reps=reps,
         base_seed=base_seed,
         config=config,

@@ -204,7 +204,7 @@ def detect_bic(series, config: DetectorConfig | None = None) -> Segmentation:
         over.changepoints,
         kind=config.norm,
         eval_points=config.eval_points_for(series),
-        rescale=config.path_rescale(),
+        rescale=config.norm is Norm.LINF,
     )
     choice = bic_select(series, path)
     score_of = dict(zip(path.ordered, path.removal_scores))

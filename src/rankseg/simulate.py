@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contrast import Series, _check_int
 
-__all__ = ["ModelSpec", "generate", "parse_model", "list_models"]
+__all__ = ["ModelSpec", "generate", "list_models"]
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -27,11 +26,14 @@ _SQRT3 = math.sqrt(3.0)
 class ModelSpec:
     """A benchmark model instance: id, seed and optional size parameters.
 
-    ``seed`` is an integer ``>= 0``. ``length`` applies to the timing and
-    no-change families and must be an integer ``>= 1`` when given; ``rate``
-    is the Poisson mean of the no-change Poisson family and must be a finite
-    real ``>= 0`` when given. Numbers are stored as Python ``int``/``float``.
-    Fixed-size models ignore ``length`` and ``rate``.
+    ``model`` is one of :func:`list_models`, in any case, and is stored
+    upper-case; sizes are never part of the id (``T1`` with ``length=6000``,
+    not ``"T1(6000)"``). ``seed`` is an integer ``>= 0``. ``length``
+    applies to the timing and no-change families and must be an integer
+    ``>= 1`` when given; ``rate`` is the Poisson mean of the no-change
+    Poisson family and must be a finite real ``>= 0`` when given. Numbers
+    are stored as Python ``int``/``float``. Fixed-size models ignore
+    ``length`` and ``rate``.
     """
 
     model: str
@@ -40,6 +42,12 @@ class ModelSpec:
     rate: float | None = None
 
     def __post_init__(self):
+        model = self.model.upper() if isinstance(self.model, str) else None
+        if model not in _GENERATORS and model not in _TRANSFORMED:
+            raise ValueError(
+                f"unknown model id {self.model!r}; known: {', '.join(list_models())}"
+            )
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
         if self.length is not None:
             object.__setattr__(self, "length", _check_int("length", self.length, 1))
@@ -230,50 +238,10 @@ def generate(spec: ModelSpec) -> Series:
     Series
         Values plus the model's true change-point positions.
     """
-    model = spec.model.upper()
-    if model in _TRANSFORMED:
-        base = generate(ModelSpec(_TRANSFORMED[model], spec.seed, spec.length, spec.rate))
+    if spec.model in _TRANSFORMED:
+        base = generate(ModelSpec(_TRANSFORMED[spec.model], spec.seed, spec.length, spec.rate))
         return Series(np.exp(base.values), base.truth)
-    try:
-        gen = _GENERATORS[model]
-    except KeyError:
-        raise ValueError(f"unknown model id {spec.model!r}") from None
     rng = np.random.default_rng(spec.seed)
-    values, truth = gen(rng, spec)
+    values, truth = _GENERATORS[spec.model](rng, spec)
     return Series(values, tuple(truth))
 
-
-_MODEL_RE = re.compile(r"^\s*([A-Za-z0-9_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
-
-
-def parse_model(text: str) -> tuple[str, dict]:
-    """Parse a model id with optional parameters.
-
-    Accepts bare ids (``"M1"``), a length argument (``"T1(6000)"``,
-    ``"NOCHANGE_GAUSS(200)"``) and the rate-and-length form
-    ``"NOCHANGE_POIS(3, 500)"``.
-    """
-    match = _MODEL_RE.match(text)
-    if not match:
-        raise ValueError(f"cannot parse model id {text!r}")
-    model = match.group(1).upper()
-    known = set(list_models())
-    if model not in known:
-        raise ValueError(f"unknown model id {model!r}; known: {', '.join(sorted(known))}")
-    params: dict = {}
-    if match.group(2):
-        args = [a.strip() for a in match.group(2).split(",") if a.strip()]
-        try:
-            if model == "NOCHANGE_POIS":
-                if len(args) not in (1, 2):
-                    raise ValueError
-                params["rate"] = float(args[0])
-                if len(args) == 2:
-                    params["length"] = int(args[1])
-            else:
-                if len(args) != 1:
-                    raise ValueError
-                params["length"] = int(args[0])
-        except ValueError:
-            raise ValueError(f"bad parameters in model id {text!r}") from None
-    return model, params

@@ -150,7 +150,7 @@ def test_criterion_3_type_one_error():
 
 def test_criterion_4_benchmark_frequencies():
     """Published-benchmark replication with the criterion pipeline."""
-    config = DetectorConfig(stop=StopRule.BIC, norm=Norm.LINF, rescale=True)
+    config = DetectorConfig(stop=StopRule.BIC, norm=Norm.LINF)
     floors = {
         "NC": (90, None),
         "M1": (85, 0.50),

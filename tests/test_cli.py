@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rankseg import DetectorConfig, ModelSpec, StopRule, generate, segment
+from rankseg import DetectorConfig, StopRule, segment
 from rankseg.cli import build_parser, main
 
 
@@ -34,11 +34,18 @@ class TestSimulate:
         assert truth["seed"] == 1
 
     def test_parameterised_model_id(self, tmp_path, capsys):
+        # sizes go through --length/--rate; "T1(6000)" is not a model id
         prefix = tmp_path / "g"
-        code, _, _ = run(capsys, "simulate", "--model", "NOCHANGE_GAUSS(75)",
+        code, _, _ = run(capsys, "simulate", "--model", "NOCHANGE_GAUSS", "--length", "75",
                          "--seed", "2", "--out", str(prefix))
         assert code == 0
         assert len((tmp_path / "g.csv").read_text().strip().splitlines()) == 75
+        code, out, err = run(capsys, "simulate", "--model", "T1(6000)", "--seed", "2",
+                             "--out", str(tmp_path / "t"))
+        assert code == 1
+        assert out == ""
+        assert "unknown model id 'T1(6000)'" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_unknown_model(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--model", "M9", "--seed", "1",
@@ -48,7 +55,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv", [["NOCHANGE_GAUSS", "--length", "0"], ["NOCHANGE_GAUSS", "--length", "-5"],
-                 ["NOCHANGE_GAUSS(0)"], ["T1", "--length", "0"]],
+                 ["nochange_gauss", "--length", "0"], ["T1", "--length", "0"]],
     )
     def test_non_positive_length_exit_1(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, "simulate", "--model", *argv, "--seed", "1",
@@ -60,7 +67,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv", [["NOCHANGE_POIS", "--rate", "-1"], ["NOCHANGE_POIS", "--rate", "nan"],
-                 ["NOCHANGE_POIS(inf, 50)"]],
+                 ["NOCHANGE_POIS", "--rate", "inf", "--length", "50"]],
     )
     def test_bad_rate_exit_1(self, tmp_path, capsys, argv):
         # these once failed inside numpy's Poisson draw
@@ -95,7 +102,7 @@ class TestDetect:
         code, out, _ = run(capsys, "detect", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["changepoints"] == []
         assert payload["length"] == 200
         assert payload["bic"] is not None
@@ -129,7 +136,7 @@ class TestDetect:
         write_series(path, rng.standard_normal(150))
         code, out, _ = run(
             capsys, "detect", str(path), "--norm", "l2", "--lambda", "10",
-            "--const", "0.8", "--grid", "40", "--rescale", "off",
+            "--const", "0.8", "--grid", "40",
             "--split", "off", "--stop", "threshold",
         )
         assert code == 0
@@ -140,16 +147,19 @@ class TestDetect:
         assert config["grid"] == 40
         assert config["split"] is None
 
-    def test_rescale_on_threshold_stays_quiet_on_noise(self, tmp_path, capsys):
-        # the rescaled threshold scan once returned 31 change-points here
+    def test_removed_spellings(self, tmp_path, capsys):
+        # --rescale is gone (the path rescales exactly under linf) and
+        # "auto" was another name for the default window length
         path = tmp_path / "x.csv"
-        write_series(path, generate(ModelSpec("NOCHANGE_GAUSS", 0, length=500)).values)
-        code, out, _ = run(capsys, "detect", str(path), "--stop", "threshold",
-                           "--rescale", "on")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["changepoints"] == []
-        assert payload["config"]["rescale"] is True
+        write_series(path, np.arange(50.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), "--rescale", "on"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "detect", str(path), "--split", "auto")
+        assert code == 1
+        assert out == ""
+        assert "--split expects 'off' or an integer" in err
 
     def test_l1_without_constant_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -373,7 +383,7 @@ class TestDetectJson:
         rng = np.random.default_rng(5)
         values = np.concatenate([rng.normal(0, 1, 70), rng.normal(4, 1, 70)])
         payload = self.check(tmp_path, capsys, values, DetectorConfig())
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["bic"]["chosen_j"] == len(payload["changepoints"])
         assert sorted(payload["solution_path"][: payload["bic"]["chosen_j"]]) == (
             payload["changepoints"]

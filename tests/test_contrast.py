@@ -43,6 +43,16 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series([1.0, 2.0, 3.0, 4.0], truth=(2, 2))
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_non_integer_truth_rejected(self, bad):
+        # 2.5 was once stored as 2 and True as 1
+        with pytest.raises(ValueError, match="integer"):
+            Series(np.arange(10.0), truth=(bad,))
+
+    def test_numpy_integer_truth_stored_as_int(self):
+        s = Series(np.arange(10.0), truth=np.array([3, 7]))
+        assert s.truth == (3, 7) and all(type(t) is int for t in s.truth)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         values = np.arange(10.0)
@@ -197,6 +207,12 @@ class TestGridPoints:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             grid_points([1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_non_integer_size_rejected(self, bad):
+        # True once gave one level; 2.5 failed on the levels' dtype
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            grid_points(np.arange(10.0), bad)
 
     def test_size_capped_at_length(self, rng):
         # q >= T gives every data value once, in full mode, never a repeat

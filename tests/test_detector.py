@@ -8,6 +8,7 @@ from rankseg import (
     CusumTable,
     DetectorConfig,
     Norm,
+    Segmentation,
     StopRule,
     default_constant,
     detect,
@@ -141,6 +142,19 @@ class TestWindowBounds:
         assert _window_bounds(4500, 2000) == [(0, 2000), (2000, 4500)]
 
 
+class TestSegmentation:
+    def test_stores_checked_positions(self):
+        seg = Segmentation(np.array([2, 5]), (1.0, 2.0), DetectorConfig(), 10)
+        assert seg.changepoints == (2, 5)
+        assert all(type(c) is int for c in seg.changepoints)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_positions_rejected(self, bad):
+        # (2.5,) was once kept as given
+        with pytest.raises(ValueError, match="integer"):
+            Segmentation((bad,), (1.0,), DetectorConfig(), 10)
+
+
 class TestDetectorConfig:
     def test_defaults(self):
         cfg = DetectorConfig()
@@ -148,12 +162,16 @@ class TestDetectorConfig:
         assert cfg.norm is Norm.LINF
         assert cfg.resolved_constant() == 0.9
         assert cfg.stop is StopRule.BIC
-        assert cfg.path_rescale() is True
+        assert cfg.grid == "auto"
+        assert cfg.split == 2000
+        assert len(DetectorConfig.__dataclass_fields__) == 6
 
     def test_l2_constant_and_rescale(self):
+        # whether the path rescales follows from the norm and is not echoed
         cfg = DetectorConfig(norm=Norm.L2)
         assert cfg.resolved_constant() == 0.6
-        assert cfg.path_rescale() is False
+        assert cfg.to_dict()["resolved"] == {"threshold_constant": 0.6}
+        assert "rescale" not in cfg.to_dict()
 
     def test_l1_requires_explicit_constant(self):
         with pytest.raises(ValueError):
@@ -187,6 +205,16 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(split="sometimes")
 
+    def test_removed_spellings_rejected(self):
+        # rescale=True, "yes" and np.bool_(True) were accepted and echoed; the
+        # path rescales exactly under linf. "auto" was another name for 2000
+        with pytest.raises(TypeError):
+            DetectorConfig(rescale=True)
+        with pytest.raises(ValueError, match="split must be an integer"):
+            DetectorConfig(split="auto")
+        with pytest.raises(ValueError, match="split must be >= 2"):
+            DetectorConfig(split=1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_constant_rejected(self, bad):
         # a NaN or infinite constant once silently returned no change-points
@@ -218,7 +246,7 @@ class TestDetectorConfig:
         cfg = DetectorConfig(norm="l2", threshold_constant=0.7, split=900)
         doc = cfg.to_dict()
         assert list(doc) == [*DetectorConfig.__dataclass_fields__, "resolved"]
-        assert list(doc["resolved"]) == ["threshold_constant", "path_rescale"]
+        assert list(doc["resolved"]) == ["threshold_constant"]
         assert doc["norm"] == "l2" and doc["split"] == 900
         assert doc["resolved"]["threshold_constant"] == 0.7
 
@@ -362,16 +390,6 @@ class TestDetect:
             assert all(b > a for a, b in zip(cps, cps[1:]))
             assert len(set(cps)) == len(cps)
             assert all(s > threshold(0.9, len(series)) for s in seg.scores)
-
-    def test_rescale_leaves_threshold_scan_raw(self):
-        # rescaling applies to the solution path only; a rescaled scan once
-        # tested contrasts divided by the indicator deviations against the
-        # raw-contrast threshold and returned 25-34 change-points on noise
-        rescaled = DetectorConfig(stop=StopRule.THRESHOLD, rescale=True)
-        for model in ("NOCHANGE_GAUSS", "NOCHANGE_CAUCHY"):
-            for seed in range(10):
-                x = generate(ModelSpec(model, seed, length=500))
-                assert detect(x, rescaled).changepoints == detect(x, THRESHOLD).changepoints
 
     def test_scan_budget(self):
         # each scan of [s, e] examines at most 2K intervals and every

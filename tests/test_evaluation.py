@@ -29,6 +29,11 @@ class TestLargestSegment:
         with pytest.raises(ValueError, match="truth positions"):
             largest_segment(truth, length)
 
+    def test_non_integer_truth_rejected(self):
+        # 2.9 was once truncated to 2
+        with pytest.raises(ValueError, match="truth positions must be an integer"):
+            largest_segment([2.9], 5)
+
 
 class TestHausdorff:
     def test_identical_sets(self):
@@ -105,6 +110,12 @@ class TestReplicateStudy:
         )
         assert all(len(r.estimates) >= 0 for r in report.replications)
 
+    def test_model_id_checked_before_any_run(self):
+        # an unknown id once returned a report of failed replications
+        with pytest.raises(ValueError, match="unknown model id 'NOPE'"):
+            replicate_study("NOPE", reps=2)
+        assert replicate_study("m1", reps=1).model == "M1"
+
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             replicate_study("M1", DetectorConfig(), reps=0)
@@ -129,7 +140,7 @@ class TestReplicateStudy:
     def test_report_serialises(self):
         report = replicate_study("M1", DetectorConfig(), reps=2, base_seed=0)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["model"] == "M1"
         assert sum(payload["buckets"].values()) == 2
         row = report.csv_row()

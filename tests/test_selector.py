@@ -254,7 +254,7 @@ class TestOverestimate:
         for kind, reduced in ((Norm.LINF, 0.72), (Norm.L2, 0.48)):
             cfg = DetectorConfig(norm=kind)
             explicit = DetectorConfig(
-                norm=kind, threshold_constant=reduced, stop=StopRule.THRESHOLD, rescale=False
+                norm=kind, threshold_constant=reduced, stop=StopRule.THRESHOLD
             )
             assert overestimate(series, cfg) == detect(series, explicit).changepoints
 
@@ -289,6 +289,17 @@ class TestDetectBic:
             for seed in range(20)
         )
         assert hits >= 16
+
+    @pytest.mark.parametrize("kind, rescale", [(Norm.LINF, True), (Norm.L2, False)])
+    def test_path_rescales_exactly_under_linf(self, kind, rescale):
+        # the rule that replaced the rescale setting, pinned bit for bit
+        cfg = DetectorConfig(norm=kind)
+        for model, seed in [("MM_GAUSS", 4), ("MV_GAUSS", 1), ("MD2", 2)]:
+            series = generate(ModelSpec(model, seed))
+            seg = detect_bic(series, cfg)
+            cands = overestimate(series, cfg)
+            path = solution_path(series, cands, kind, cfg.eval_points_for(series), rescale)
+            assert seg.path == path
 
     def test_scores_come_from_path(self):
         series = generate(ModelSpec("MM_GAUSS", 4))

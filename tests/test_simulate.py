@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankseg import ModelSpec, generate, list_models, parse_model
+from rankseg import ModelSpec, generate, list_models
 
 EXPECTED_SHAPES = {
     "NC": (500, ()),
@@ -175,25 +175,23 @@ class TestDistributionSanity:
 
 
 class TestParseModel:
+    """``ModelSpec`` is the one reader of model ids; sizes are separate fields."""
+
     def test_bare_id(self):
-        assert parse_model("M1") == ("M1", {})
-        assert parse_model("mm_gauss") == ("MM_GAUSS", {})
+        assert ModelSpec("M1", 0).model == "M1"
+        assert ModelSpec("m1", 0).model == "M1"
+        assert ModelSpec("mm_gauss", 0).model == "MM_GAUSS"
 
     def test_length_argument(self):
-        assert parse_model("T1(6000)") == ("T1", {"length": 6000})
-        assert parse_model("NOCHANGE_GAUSS(200)") == ("NOCHANGE_GAUSS", {"length": 200})
+        assert len(generate(ModelSpec("T1", 0, length=6000))) == 6000
+        assert len(generate(ModelSpec("nochange_gauss", 0, length=200))) == 200
 
     def test_rate_and_length(self):
-        assert parse_model("NOCHANGE_POIS(0.3, 75)") == (
-            "NOCHANGE_POIS",
-            {"rate": 0.3, "length": 75},
-        )
-        assert parse_model("NOCHANGE_POIS(3)") == ("NOCHANGE_POIS", {"rate": 3.0})
+        spec = ModelSpec("NOCHANGE_POIS", 0, length=75, rate=0.3)
+        assert (spec.length, spec.rate) == (75, 0.3)
+        assert len(generate(spec)) == 75
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_model("NOPE")
-        with pytest.raises(ValueError):
-            parse_model("T1(abc)")
-        with pytest.raises(ValueError):
-            parse_model("M1(100,200,300)")
+        for bad in ["NOPE", "T1(6000)", "NOCHANGE_POIS(3, 500)", "", 5, None]:
+            with pytest.raises(ValueError, match="unknown model id"):
+                ModelSpec(bad, 0)
