@@ -4,15 +4,12 @@ Shows each stage on a four-regime Gaussian benchmark series so the roles of
 the solution path and the criterion curve are visible.
 """
 
-import numpy as np
-
 from rankseg import (
     DetectorConfig,
     ModelSpec,
     bic_select,
     detect_bic,
     generate,
-    grid_points,
     overestimate,
     solution_path,
 )
@@ -27,9 +24,9 @@ candidates = overestimate(series, config)
 print(f"\noverestimated candidates ({len(candidates)}): {candidates}")
 
 # Stage 2: iterative weakest-triplet removal orders them by importance.
-path = solution_path(
-    series, candidates, config.norm, grid_points(series, len(series)), rescale=True
-)
+# It reads the same config: its norm, its evaluation levels and, under linf,
+# the per-level rescaling.
+path = solution_path(series, candidates, config)
 print("solution path (most important first):")
 for position, score in zip(path.ordered, path.removal_scores):
     print(f"  b={position:4d}  removal score {score:.3f}")

@@ -6,7 +6,7 @@ locations, and the mean runtime. Uses 25 replications per model to stay
 quick; raise ``REPS`` for tighter frequencies.
 """
 
-from rankseg import DetectorConfig, Norm, StopRule, replicate_study
+from rankseg import DetectorConfig, ModelSpec, Norm, StopRule, replicate_study
 
 REPS = 25
 
@@ -16,7 +16,7 @@ header = f"{'model':12s} {'<=-2':>5} {'-1':>4} {'0':>4} {'1':>4} {'>=2':>4}   {'
 print(header)
 print("-" * len(header))
 for model in ["NC", "M1", "V1", "MM_GAUSS", "MV_GAUSS", "MD1"]:
-    report = replicate_study(model, config, reps=REPS, base_seed=0)
+    report = replicate_study(ModelSpec(model, 0), config, reps=REPS)
     buckets = report.frequency_buckets()
     distance = "-" if report.mean_distance is None else f"{report.mean_distance:.3f}"
     print(
@@ -26,7 +26,7 @@ for model in ["NC", "M1", "V1", "MM_GAUSS", "MV_GAUSS", "MD1"]:
     )
 
 # Transformed twins give identical frequency rows: the method sees only ranks.
-base = replicate_study("MM_GAUSS", config, reps=REPS, base_seed=0)
-twin = replicate_study("MM_GAUSS_TR", config, reps=REPS, base_seed=0)
+base = replicate_study(ModelSpec("MM_GAUSS", 0), config, reps=REPS)
+twin = replicate_study(ModelSpec("MM_GAUSS_TR", 0), config, reps=REPS)
 print(f"\nMM_GAUSS     frequencies: {dict(sorted(base.frequencies.items()))}")
 print(f"MM_GAUSS_TR  frequencies: {dict(sorted(twin.frequencies.items()))}")

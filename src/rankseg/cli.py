@@ -156,14 +156,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     spec = _model_spec(args, args.seed)
     config = _config_from_args(args)
     try:
-        report = replicate_study(
-            spec.model,
-            config,
-            reps=args.reps,
-            base_seed=args.seed,
-            length=spec.length,
-            rate=spec.rate,
-        )
+        report = replicate_study(spec, config, reps=args.reps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_json(report.to_dict(), args.out)
@@ -187,9 +180,7 @@ def _read_changepoints(path: str, length: int) -> tuple[int, ...]:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("changepoints")
-    if not isinstance(data, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in data
-    ):
+    if not isinstance(data, list):
         raise CliError(f"{path}: expected a list of integers or a 'changepoints' key")
     try:
         return _check_positions(data, length, "change-points")

@@ -41,6 +41,9 @@ __all__ = [
 FULL = "full"
 GRID = "grid"
 
+# Largest prefix table CusumTable builds, in bytes: (T + 1) * Q int32 counts.
+MAX_TABLE_BYTES = 2**30
+
 
 def _check_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
@@ -169,6 +172,8 @@ class CusumTable:
     any interval CUSUM row is two prefix lookups and a full profile over
     ``[s, e)`` costs O((e - s) * Q) after the one-off O(T * Q) build. A level
     above ``T`` raises ``ValueError``: the set was built for another series.
+    So does a table larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything
+    is allocated.
     """
 
     _BLOCK = 512  # columns per cumsum pass, bounds the boolean scratch
@@ -180,6 +185,13 @@ class CusumTable:
         T, Q = r.size, k.size
         if k[-1] > T:
             raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
+        nbytes = (T + 1) * Q * 4
+        if nbytes > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"a prefix table for T={T} and Q={Q} levels needs {nbytes / 2**20:,.0f} MiB, "
+                f"over the {MAX_TABLE_BYTES / 2**20:,.0f} MiB limit; pass an integer grid "
+                "(fewer levels) or a split (shorter windows)"
+            )
         prefix = np.zeros((T + 1, Q), dtype=np.int32)
         for q0 in range(0, Q, self._BLOCK):
             cols = slice(q0, min(q0 + self._BLOCK, Q))

@@ -189,12 +189,6 @@ class DetectorConfig:
             q = T if self.grid == "full" else self.grid
         return grid_points(series, q)
 
-    def window_length(self, length: int) -> int | None:
-        """Window size for splitting, or ``None`` when no split applies."""
-        if self.split is None or length <= self.split:
-            return None
-        return self.split
-
     def to_dict(self) -> dict:
         """Raw settings plus the resolved values actually in effect."""
         return {
@@ -333,10 +327,9 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     if T < 2:
         raise ValueError("detection needs a series of length >= 2")
 
-    win = config.window_length(T)
     found: dict[int, float] = {}
     n_scanned = 0
-    for lo, hi in _window_bounds(T, win) if win else [(0, T)]:
+    for lo, hi in _window_bounds(T, config.split or T):
         # min-ranks of the global ranks are the window's own ranks
         window = series if hi - lo == T else Series(series.ranks[lo:hi])
         sub_found, sub_scanned = _detect_window(window, config)

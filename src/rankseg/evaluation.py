@@ -65,15 +65,16 @@ class Replication:
 class StudyReport:
     """Aggregate of seeded replications of one model under one config.
 
-    ``frequencies`` maps the estimation error ``n_estimated - n_true`` to its
-    count over the replications that completed. ``mean_distance`` averages
-    the scaled Hausdorff distance over replications where both the truth and
-    the estimate are nonempty.
+    ``spec`` is the study's ``ModelSpec``: its model id and size, and in
+    ``spec.seed`` the first of the ``reps`` consecutive seeds. ``frequencies``
+    maps the estimation error ``n_estimated - n_true`` to its count over the
+    replications that completed. ``mean_distance`` averages the scaled
+    Hausdorff distance over replications where both the truth and the
+    estimate are nonempty.
     """
 
-    model: str
+    spec: ModelSpec
     reps: int
-    base_seed: int
     config: DetectorConfig
     frequencies: dict[int, int]
     mean_distance: float | None
@@ -99,9 +100,11 @@ class StudyReport:
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "model": self.model,
+            "model": self.spec.model,
+            "length": self.spec.length,
+            "rate": self.spec.rate,
             "reps": self.reps,
-            "base_seed": self.base_seed,
+            "base_seed": self.spec.seed,
             "config": self.config.to_dict(),
             "frequencies": {str(k): v for k, v in sorted(self.frequencies.items())},
             "buckets": self.frequency_buckets(),
@@ -125,7 +128,7 @@ class StudyReport:
         """Flat row mirroring the benchmark tables' layout."""
         buckets = self.frequency_buckets()
         return {
-            "model": self.model,
+            "model": self.spec.model,
             "reps": self.reps,
             "freq_le_-2": buckets["<=-2"],
             "freq_-1": buckets["-1"],
@@ -138,25 +141,22 @@ class StudyReport:
 
 
 def replicate_study(
-    model: str,
-    config: DetectorConfig | None = None,
-    reps: int = 100,
-    base_seed: int = 0,
-    length: int | None = None,
-    rate: float | None = None,
+    spec: ModelSpec, config: DetectorConfig | None = None, reps: int = 100
 ) -> StudyReport:
     """Run seeded replications of one model and aggregate the outcomes.
 
-    Seeds run from ``base_seed`` to ``base_seed + reps - 1``. A bad model id
-    or size raises ``ValueError`` before any run; a failing replication is
-    recorded with its error message rather than aborting the study.
+    Every replication generates ``spec`` with its own seed; seeds run from
+    ``spec.seed`` to ``spec.seed + reps - 1``. A ``spec`` that is not a
+    ``ModelSpec`` or a bad ``reps`` raises ``ValueError`` before any run; a
+    failing replication is recorded with its error message rather than
+    aborting the study.
     """
+    if not isinstance(spec, ModelSpec):
+        raise ValueError(f"spec must be a ModelSpec, got {spec!r}")
     reps = _check_int("reps", reps, 1)
-    base_seed = _check_int("base_seed", base_seed, 0)
-    spec = ModelSpec(model, base_seed, length=length, rate=rate)
     config = config or DetectorConfig()
     records: list[Replication] = []
-    for seed in range(base_seed, base_seed + reps):
+    for seed in range(spec.seed, spec.seed + reps):
         try:
             series = generate(replace(spec, seed=seed))
             start = time.perf_counter()
@@ -183,9 +183,8 @@ def replicate_study(
     distances = [r.distance for r in records if r.distance is not None]
     runtimes = [r.runtime for r in records if r.error is None]
     return StudyReport(
-        model=spec.model,
+        spec=spec,
         reps=reps,
-        base_seed=base_seed,
         config=config,
         frequencies=frequencies,
         mean_distance=float(np.mean(distances)) if distances else None,

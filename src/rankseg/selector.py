@@ -15,15 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrast import (
-    CusumTable,
-    EvalPoints,
-    Norm,
-    _check_positions,
-    as_series,
-    grid_points,
-    norm_value,
-)
+from .contrast import CusumTable, Norm, _check_positions, as_series, norm_value
 from .detector import DetectorConfig, Segmentation, StopRule, detect
 
 __all__ = [
@@ -88,31 +80,28 @@ def overestimate(series, config: DetectorConfig | None = None) -> tuple[int, ...
     return detect(series, _overestimate_config(config)).changepoints
 
 
-def solution_path(
-    series,
-    candidates,
-    kind: Norm = Norm.LINF,
-    eval_points: EvalPoints | None = None,
-    rescale: bool = False,
-) -> SolutionPath:
+def solution_path(series, candidates, config: DetectorConfig | None = None) -> SolutionPath:
     """Order candidates by importance via iterative weakest-triplet removal.
 
-    Each remaining candidate is scored by the norm of its CUSUM vector over
-    the interval spanned by its two current neighbours (with sentinels 0 and
-    T); the lowest-scoring candidate is removed and only its former
-    neighbours are re-scored, which leaves every other triplet untouched.
-    The returned ordering lists the last-removed candidate first.
+    Each remaining candidate is scored by the ``config.norm`` of its CUSUM
+    vector over the interval spanned by its two current neighbours (with
+    sentinels 0 and T), at the levels ``config.eval_points_for(series)``;
+    under ``linf`` each level is divided by its indicator standard deviation.
+    The lowest-scoring candidate is removed and only its former neighbours
+    are re-scored, which leaves every other triplet untouched. The returned
+    ordering lists the last-removed candidate first. ``config`` defaults to
+    ``DetectorConfig()``, so the path is the one :func:`detect_bic` builds.
     """
     series = as_series(series)
+    config = config or DetectorConfig()
     T = len(series)
     work = list(_check_positions(candidates, T, "candidates"))
     if not work:
         return SolutionPath((), ())
 
-    if eval_points is None:
-        eval_points = grid_points(series, T)
-    table = CusumTable(series, eval_points)
-    sd = table.indicator_sd if rescale else None
+    kind = config.norm
+    table = CusumTable(series, config.eval_points_for(series))
+    sd = table.indicator_sd if kind is Norm.LINF else None
 
     def triplet_score(prev: int, cur: int, nxt: int) -> float:
         row = table.row(prev + 1, nxt, cur)
@@ -199,13 +188,7 @@ def detect_bic(series, config: DetectorConfig | None = None) -> Segmentation:
     series = as_series(series)
     config = config or DetectorConfig()
     over = detect(series, _overestimate_config(config))
-    path = solution_path(
-        series,
-        over.changepoints,
-        kind=config.norm,
-        eval_points=config.eval_points_for(series),
-        rescale=config.norm is Norm.LINF,
-    )
+    path = solution_path(series, over.changepoints, config)
     choice = bic_select(series, path)
     score_of = dict(zip(path.ordered, path.removal_scores))
     return Segmentation(

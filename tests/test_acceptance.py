@@ -161,7 +161,7 @@ def test_criterion_4_benchmark_frequencies():
     details = []
     ok = True
     for model, (freq_floor, dist_ceiling) in floors.items():
-        report = replicate_study(model, config, reps=100, base_seed=0)
+        report = replicate_study(ModelSpec(model, 0), config, reps=100)
         exact = report.frequencies.get(0, 0)
         details.append(f"{model}: {exact}/100 d_H {report.mean_distance}")
         if exact < freq_floor:
@@ -307,8 +307,8 @@ def test_criterion_8_invariant_suites():
 
     # study reproducibility, runtimes aside
     cfg = DetectorConfig(stop=StopRule.THRESHOLD)
-    rep_a = replicate_study("M1", cfg, reps=5, base_seed=11)
-    rep_b = replicate_study("M1", cfg, reps=5, base_seed=11)
+    rep_a = replicate_study(ModelSpec("M1", 11), cfg, reps=5)
+    rep_b = replicate_study(ModelSpec("M1", 11), cfg, reps=5)
     if rep_a.frequencies != rep_b.frequencies or any(
         ra.estimates != rb.estimates
         for ra, rb in zip(rep_a.replications, rep_b.replications)

@@ -197,6 +197,16 @@ class TestDetect:
         assert out == ""
         assert flag in err
 
+    def test_table_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a full table at T = 1000 holds about 4 MB, over a 1 MiB budget
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 2**20)
+        path = tmp_path / "x.csv"
+        write_series(path, np.random.default_rng(0).standard_normal(1000))
+        code, out, err = run(capsys, "detect", str(path), "--grid", "full")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error:") and "T=1000 and Q=1000" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/nonexistent/input.csv")
         assert code == 1
@@ -289,6 +299,19 @@ class TestStudy:
         assert out == ""
         assert "length must be >= 1" in err
 
+    def test_report_records_length_and_rate(self, capsys):
+        # a T1(600) study once wrote "model": "T1" and nothing of its size
+        code, out, _ = run(capsys, "study", "--model", "T1", "--length", "600",
+                           "--reps", "1", "--stop", "threshold")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["model"], payload["length"], payload["rate"]) == ("T1", 600, None)
+        code, out, _ = run(capsys, "study", "--model", "NOCHANGE_POIS", "--rate", "2",
+                           "--reps", "1", "--stop", "threshold")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["length"], payload["rate"]) == (None, 2.0)
+
     def test_stdout_report(self, capsys):
         code, out, _ = run(capsys, "study", "--model", "NC", "--reps", "2",
                            "--stop", "threshold")
@@ -335,6 +358,13 @@ class TestEvaluate:
 
     def test_boolean_positions_rejected(self, tmp_path, capsys):
         code, out, err = self.evaluate(tmp_path, capsys, [True, False], [50], 200)
+        assert code == 1
+        assert out == ""
+        assert "truth.json: change-points must be an integer, got True" in err
+
+    @pytest.mark.parametrize("truth", [{"changepoints": 50}, "50", {}])
+    def test_non_list_rejected(self, tmp_path, capsys, truth):
+        code, out, err = self.evaluate(tmp_path, capsys, truth, [50], 200)
         assert code == 1
         assert out == ""
         assert "truth.json: expected a list of integers" in err

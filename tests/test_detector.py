@@ -188,12 +188,18 @@ class TestDetectorConfig:
         assert len(cfg.eval_points_for(long)) == 300
 
     def test_window_length_resolution(self):
+        # detect cuts a series into _window_bounds(T, split or T)
+        def windows(cfg, length):
+            return _window_bounds(length, cfg.split or length)
+
         cfg = DetectorConfig()
-        assert cfg.window_length(2000) is None
-        assert cfg.window_length(2001) == 2000
-        assert DetectorConfig(split=None).window_length(10_000) is None
-        assert DetectorConfig(split=500).window_length(600) == 500
-        assert DetectorConfig(split=500).window_length(400) is None
+        assert windows(cfg, 2000) == [(0, 2000)]
+        assert windows(cfg, 2001) == [(0, 2001)]
+        assert windows(cfg, 4000) == [(0, 2000), (2000, 4000)]
+        assert windows(DetectorConfig(split=None), 10_000) == [(0, 10_000)]
+        assert windows(DetectorConfig(split=500), 600) == [(0, 600)]
+        assert windows(DetectorConfig(split=500), 800) == [(0, 500), (500, 800)]
+        assert windows(DetectorConfig(split=500), 400) == [(0, 400)]
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
@@ -240,7 +246,8 @@ class TestDetectorConfig:
         cfg = DetectorConfig(
             expansion_step=np.int64(10), grid=np.int32(50), split=np.int64(900)
         )
-        assert cfg.window_length(1000) == 900
+        assert cfg.split == 900 and type(cfg.split) is int
+        assert _window_bounds(2000, cfg.split) == [(0, 900), (900, 2000)]
 
     def test_to_dict_key_order(self):
         cfg = DetectorConfig(norm="l2", threshold_constant=0.7, split=900)

@@ -5,6 +5,7 @@ import pytest
 
 from rankseg import (
     DetectorConfig,
+    ModelSpec,
     StopRule,
     hausdorff,
     largest_segment,
@@ -71,21 +72,21 @@ class TestHausdorff:
 
 class TestReplicateStudy:
     def test_single_rep(self):
-        report = replicate_study("M1", DetectorConfig(), reps=1, base_seed=7)
+        report = replicate_study(ModelSpec("M1", 7), DetectorConfig(), reps=1)
         assert report.reps == 1
         assert len(report.replications) == 1
         assert sum(report.frequencies.values()) == 1
         assert report.replications[0].seed == 7
 
     def test_frequencies_sum_to_reps(self):
-        report = replicate_study("M1", DetectorConfig(), reps=12, base_seed=0)
+        report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=12)
         assert sum(report.frequencies.values()) == 12
         assert report.n_errors == 0
 
     def test_reproducible_modulo_runtime(self):
         cfg = DetectorConfig(stop=StopRule.THRESHOLD)
-        a = replicate_study("MM_GAUSS", cfg, reps=6, base_seed=3)
-        b = replicate_study("MM_GAUSS", cfg, reps=6, base_seed=3)
+        a = replicate_study(ModelSpec("MM_GAUSS", 3), cfg, reps=6)
+        b = replicate_study(ModelSpec("MM_GAUSS", 3), cfg, reps=6)
         assert a.frequencies == b.frequencies
         assert a.mean_distance == b.mean_distance
         for ra, rb in zip(a.replications, b.replications):
@@ -93,55 +94,63 @@ class TestReplicateStudy:
             assert ra.distance == rb.distance
 
     def test_nochange_distance_is_none(self):
-        report = replicate_study("NC", DetectorConfig(), reps=5, base_seed=0)
+        report = replicate_study(ModelSpec("NC", 0), DetectorConfig(), reps=5)
         assert report.mean_distance is None
         assert all(r.distance is None for r in report.replications)
 
     def test_misses_excluded_from_distance(self):
         # a huge constant forces empty estimates; distances must all be None
         cfg = DetectorConfig(stop=StopRule.THRESHOLD, threshold_constant=99.0)
-        report = replicate_study("M1", cfg, reps=3, base_seed=0)
+        report = replicate_study(ModelSpec("M1", 0), cfg, reps=3)
         assert report.frequencies == {-1: 3}
         assert report.mean_distance is None
 
     def test_parameterised_model(self):
-        report = replicate_study(
-            "NOCHANGE_POIS", DetectorConfig(), reps=2, base_seed=1, length=60, rate=0.3
+        spec = ModelSpec("NOCHANGE_POIS", 1, length=60, rate=0.3)
+        report = replicate_study(spec, DetectorConfig(), reps=2)
+        assert report.spec == spec
+        assert [r.seed for r in report.replications] == [1, 2]
+        assert report.n_errors == 0
+        doc = report.to_dict()
+        assert (doc["model"], doc["length"], doc["rate"], doc["base_seed"]) == (
+            "NOCHANGE_POIS", 60, 0.3, 1
         )
-        assert all(len(r.estimates) >= 0 for r in report.replications)
 
     def test_model_id_checked_before_any_run(self):
-        # an unknown id once returned a report of failed replications
-        with pytest.raises(ValueError, match="unknown model id 'NOPE'"):
-            replicate_study("NOPE", reps=2)
-        assert replicate_study("m1", reps=1).model == "M1"
+        # a bare id once stood for the model; the spec is checked up front
+        with pytest.raises(ValueError, match="spec must be a ModelSpec, got 'M1'"):
+            replicate_study("M1", reps=2)
+        assert replicate_study(ModelSpec("m1", 0), reps=1).spec.model == "M1"
 
     def test_bad_reps(self):
         with pytest.raises(ValueError):
-            replicate_study("M1", DetectorConfig(), reps=0)
+            replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=0)
 
     @pytest.mark.parametrize("reps", [True, 2.0, "2"])
     def test_non_integer_reps_rejected(self, reps):
         # reps=True once ran one replication and reported "reps": true
         with pytest.raises(ValueError, match="reps must be an integer"):
-            replicate_study("M1", DetectorConfig(), reps=reps)
+            replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=reps)
 
     @pytest.mark.parametrize("base_seed", [True, -1, 1.0])
     def test_bad_base_seed_rejected(self, base_seed):
+        # the study's base seed is the spec's seed, checked by ModelSpec;
         # base_seed=-1 once returned a report of failed replications
-        with pytest.raises(ValueError, match="base_seed must be"):
-            replicate_study("M1", DetectorConfig(), reps=2, base_seed=base_seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            replicate_study(ModelSpec("M1", base_seed), DetectorConfig(), reps=2)
 
     def test_numpy_reps_reported_as_int(self):
-        report = replicate_study("M1", DetectorConfig(), reps=np.int64(2), base_seed=0)
+        report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=np.int64(2))
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["reps"] == 2 and len(doc["replications"]) == 2
 
     def test_report_serialises(self):
-        report = replicate_study("M1", DetectorConfig(), reps=2, base_seed=0)
+        report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=2)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["schema"] == 3
+        assert list(payload)[:6] == ["schema", "model", "length", "rate", "reps", "base_seed"]
         assert payload["model"] == "M1"
+        assert payload["length"] is None and payload["rate"] is None
         assert sum(payload["buckets"].values()) == 2
         row = report.csv_row()
         assert set(row) == {
@@ -150,6 +159,6 @@ class TestReplicateStudy:
         }
 
     def test_bucket_clamping(self):
-        report = replicate_study("M1", DetectorConfig(), reps=4, base_seed=0)
+        report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=4)
         buckets = report.frequency_buckets()
         assert sum(buckets.values()) == 4

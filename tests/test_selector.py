@@ -15,7 +15,6 @@ from rankseg import (
     bic_select,
     detect,
     detect_bic,
-    grid_points,
     overestimate,
     segment,
     solution_path,
@@ -24,7 +23,7 @@ from rankseg import (
 from rankseg.selector import SolutionPath, _xlogx
 from rankseg.simulate import ModelSpec, generate
 
-from conftest import naive_cusum, naive_norm, sorted_st_likelihood
+from conftest import naive_cusum, naive_norm, rescale_sd, sorted_st_likelihood
 
 
 def naive_st_likelihood(values, breakpoints):
@@ -178,7 +177,7 @@ class TestBicSelect:
     def test_chosen_minimises(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 0)).values
         cands = overestimate(x, DetectorConfig())
-        path = solution_path(x, cands, Norm.LINF, grid_points(x, len(x)), True)
+        path = solution_path(x, cands, DetectorConfig(grid="full"))
         result = bic_select(x, path)
         assert set(result.changepoints) <= set(path.ordered)
         assert result.scores[result.chosen_j] == min(result.scores)
@@ -213,9 +212,12 @@ class TestSolutionPath:
         assert path.ordered[0] == 100
         # direct triplet scoring agrees: the jump outranks the noise point
         points = np.sort(x)
-        s100 = naive_norm("linf", [naive_cusum(x, 1, 150, 100, u) for u in points])
-        s150 = naive_norm("linf", [naive_cusum(x, 1, 200, 150, u) for u in points])
-        assert s100 > s150
+        sd = [rescale_sd(x, u) for u in points]
+
+        def score(s, e, b):
+            return naive_norm("linf", [naive_cusum(x, s, e, b, u) / w for u, w in zip(points, sd)])
+
+        assert score(1, 150, 100) > score(1, 200, 150)
 
     def test_neighbor_rescoring_equals_full_recompute(self, rng):
         # only triplets adjacent to a removal change, so lazy re-scoring must
@@ -227,17 +229,18 @@ class TestSolutionPath:
             cands = sorted(rng.choice(np.arange(1, t), size=k, replace=False).tolist())
             points = np.sort(x)
             for kind in (Norm.L2, Norm.LINF):
-                fast = solution_path(x, cands, kind, grid_points(x, len(x))).ordered
-                slow = naive_solution_path(x, cands, kind.value, points)
-                assert fast == slow
+                # the path divides by the indicator deviations under linf only
+                sd = [rescale_sd(x, u) for u in points] if kind is Norm.LINF else None
+                fast = solution_path(x, cands, DetectorConfig(norm=kind, grid="full"))
+                slow = naive_solution_path(x, cands, kind.value, points, sd)
+                assert fast.ordered == slow
 
     def test_rank_invariance(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 7)).values
-        cands = overestimate(x, DetectorConfig())
-        base = solution_path(x, cands, Norm.LINF, grid_points(x, len(x)), True)
-        mapped = solution_path(
-            np.exp(x), cands, Norm.LINF, grid_points(np.exp(x), len(x)), True
-        )
+        cfg = DetectorConfig(grid="full")
+        cands = overestimate(x, cfg)
+        base = solution_path(x, cands, cfg)
+        mapped = solution_path(np.exp(x), cands, cfg)
         assert base.ordered == mapped.ordered
 
     def test_validation(self):
@@ -290,16 +293,27 @@ class TestDetectBic:
         )
         assert hits >= 16
 
-    @pytest.mark.parametrize("kind, rescale", [(Norm.LINF, True), (Norm.L2, False)])
-    def test_path_rescales_exactly_under_linf(self, kind, rescale):
-        # the rule that replaced the rescale setting, pinned bit for bit
-        cfg = DetectorConfig(norm=kind)
-        for model, seed in [("MM_GAUSS", 4), ("MV_GAUSS", 1), ("MD2", 2)]:
-            series = generate(ModelSpec(model, seed))
-            seg = detect_bic(series, cfg)
-            cands = overestimate(series, cfg)
-            path = solution_path(series, cands, kind, cfg.eval_points_for(series), rescale)
-            assert seg.path == path
+    @pytest.mark.parametrize(
+        "cfg", [DetectorConfig(), DetectorConfig(norm="l2"), DetectorConfig(grid=50)],
+        ids=["default", "l2", "grid50"],
+    )
+    def test_solution_path_is_the_pipelines_path(self, cfg):
+        # the path stage reads the pipeline's config: same levels, same norm,
+        # rescaled exactly under linf, so the stages compose to detect_bic
+        models = ["MM_GAUSS", "MV_GAUSS", "MD2", "MD3", "MV_GAUSS2", "MM_GAUSS2"]
+        for model in models:
+            for seed in range(3):
+                series = generate(ModelSpec(model, seed))
+                path = solution_path(series, overestimate(series, cfg), cfg)
+                assert path == detect_bic(series, cfg).path
+
+    def test_table_over_budget_raises(self, monkeypatch):
+        # full levels at T = 1000 need a 4 MB table, over a 1 MiB budget
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 2**20)
+        series = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))
+        with pytest.raises(ValueError, match="T=1000 and Q=1000"):
+            detect_bic(series, DetectorConfig(grid="full"))
+        assert detect_bic(series, DetectorConfig(grid=200)).changepoints == ()
 
     def test_scores_come_from_path(self):
         series = generate(ModelSpec("MM_GAUSS", 4))
