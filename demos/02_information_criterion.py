@@ -8,9 +8,9 @@ from rankseg import (
     DetectorConfig,
     ModelSpec,
     bic_select,
-    detect_bic,
     generate,
     overestimate,
+    segment,
     solution_path,
 )
 
@@ -20,7 +20,7 @@ print(f"model MM_GAUSS: length {len(series)}, true change-points {series.truth}"
 config = DetectorConfig()
 
 # Stage 1: a sweep at 80% of the calibrated constant deliberately over-detects.
-candidates = overestimate(series, config)
+candidates = overestimate(series, config).changepoints
 print(f"\noverestimated candidates ({len(candidates)}): {candidates}")
 
 # Stage 2: iterative weakest-triplet removal orders them by importance.
@@ -39,5 +39,6 @@ for j, score in enumerate(choice.scores):
     print(f"  model with {j} change-points: criterion {score:.2f}{marker}")
 print(f"selected change-points: {choice.changepoints}")
 
-# The packaged pipeline does all three stages in one call.
-assert detect_bic(series, config).changepoints == choice.changepoints
+# segment runs all three stages in one call under the default stop="bic".
+result = segment(series, config)
+assert result.path == path and result.changepoints == choice.changepoints

@@ -10,6 +10,7 @@ threshold constant. All statistics depend on the data only through ranks, so
 results are invariant under strictly increasing transformations.
 """
 
+from . import contrast, detector, evaluation, selector, simulate
 from .contrast import (
     CusumTable,
     EvalPoints,
@@ -23,7 +24,6 @@ from .detector import (
     DetectorConfig,
     Segmentation,
     StopRule,
-    default_constant,
     detect,
     interval_sequences,
     threshold,
@@ -34,7 +34,6 @@ from .selector import (
     SolutionPath,
     bic_penalty,
     bic_select,
-    detect_bic,
     overestimate,
     segment,
     solution_path,
@@ -44,37 +43,12 @@ from .simulate import ModelSpec, generate, list_models
 
 __version__ = "0.1.0"
 
+# every module lists its public names once, and all of them are imported above
 __all__ = [
-    "CusumTable",
-    "EvalPoints",
-    "Norm",
-    "Series",
-    "as_series",
-    "grid_points",
-    "norm_value",
-    "DetectorConfig",
-    "Segmentation",
-    "StopRule",
-    "default_constant",
-    "detect",
-    "interval_sequences",
-    "threshold",
-    "Replication",
-    "StudyReport",
-    "hausdorff",
-    "largest_segment",
-    "replicate_study",
-    "BicResult",
-    "SolutionPath",
-    "bic_penalty",
-    "bic_select",
-    "detect_bic",
-    "overestimate",
-    "segment",
-    "solution_path",
-    "st_likelihood",
-    "ModelSpec",
-    "generate",
-    "list_models",
+    *contrast.__all__,
+    *detector.__all__,
+    *evaluation.__all__,
+    *selector.__all__,
+    *simulate.__all__,
     "__version__",
 ]

@@ -41,7 +41,7 @@ __all__ = [
 FULL = "full"
 GRID = "grid"
 
-# Largest prefix table CusumTable builds, in bytes: (T + 1) * Q int32 counts.
+# Largest table ((T + 1) * Q int32) or scan profile ((T - 1) * Q float64), in bytes.
 MAX_TABLE_BYTES = 2**30
 
 
@@ -54,6 +54,16 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _check_bytes(what: str, T: int, Q: int, nbytes: int) -> None:
+    """Raise ``ValueError`` when ``what`` for T and Q levels exceeds ``MAX_TABLE_BYTES``."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"{what} for T={T} and Q={Q} levels needs {nbytes / 2**20:,.0f} MiB, "
+            f"over the {MAX_TABLE_BYTES / 2**20:,.0f} MiB limit; pass an integer grid "
+            "(fewer levels) or a split (shorter windows)"
+        )
 
 
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
@@ -185,13 +195,7 @@ class CusumTable:
         T, Q = r.size, k.size
         if k[-1] > T:
             raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
-        nbytes = (T + 1) * Q * 4
-        if nbytes > MAX_TABLE_BYTES:
-            raise ValueError(
-                f"a prefix table for T={T} and Q={Q} levels needs {nbytes / 2**20:,.0f} MiB, "
-                f"over the {MAX_TABLE_BYTES / 2**20:,.0f} MiB limit; pass an integer grid "
-                "(fewer levels) or a split (shorter windows)"
-            )
+        _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
         prefix = np.zeros((T + 1, Q), dtype=np.int32)
         for q0 in range(0, Q, self._BLOCK):
             cols = slice(q0, min(q0 + self._BLOCK, Q))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -23,6 +23,7 @@ from .contrast import (
     EvalPoints,
     Norm,
     Series,
+    _check_bytes,
     _check_int,
     _check_positions,
     _profile_norms,
@@ -37,7 +38,6 @@ __all__ = [
     "StopRule",
     "DetectorConfig",
     "Segmentation",
-    "default_constant",
     "threshold",
     "interval_sequences",
     "detect",
@@ -62,17 +62,6 @@ SPLIT_LENGTH = 2000
 class StopRule(str, Enum):
     THRESHOLD = "threshold"
     BIC = "bic"
-
-
-def default_constant(kind: Norm) -> float:
-    kind = Norm(kind)
-    try:
-        return DEFAULT_CONSTANTS[kind]
-    except KeyError:
-        raise ValueError(
-            f"no calibrated threshold constant for norm {kind.value!r}; "
-            "pass threshold_constant explicitly"
-        ) from None
 
 
 def threshold(constant: float, length: int) -> float:
@@ -128,9 +117,9 @@ class DetectorConfig:
         Constant in the ``C * sqrt(log T)`` threshold. ``None`` selects the
         calibrated default for the norm (0.9 for linf, 0.6 for l2).
     stop : StopRule
-        ``threshold`` stops on the raw threshold rule; ``bic`` overestimates,
-        builds a solution path and picks the model minimising the information
-        criterion.
+        Read by ``segment``: ``threshold`` stops on the raw threshold rule;
+        ``bic`` overestimates, builds a solution path and picks the model
+        minimising the information criterion. ``detect`` always thresholds.
     grid : str or int
         Evaluation levels: ``"auto"`` (all ``T`` order statistics up to
         length 1000, 300 equally spaced ones beyond), ``"full"`` (all of
@@ -172,9 +161,15 @@ class DetectorConfig:
         self.resolved_constant()  # fail at construction, not mid-scan
 
     def resolved_constant(self) -> float:
+        """The threshold constant in effect: the given one or the norm's default."""
         if self.threshold_constant is not None:
             return self.threshold_constant
-        return default_constant(self.norm)
+        if self.norm not in DEFAULT_CONSTANTS:
+            raise ValueError(
+                f"no calibrated threshold constant for norm {self.norm.value!r}; "
+                "pass threshold_constant explicitly"
+            )
+        return DEFAULT_CONSTANTS[self.norm]
 
     def eval_points_for(self, series: Series) -> EvalPoints:
         """``grid_points`` at the configured size; reads only the length ``T``.
@@ -270,6 +265,8 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     if T < 2:
         return {}, 0
     eval_points = config.eval_points_for(series)
+    Q = len(eval_points)  # the full-interval profile is the scan's largest
+    _check_bytes("a scan profile", T, Q, (T - 1) * Q * 8)
     table = CusumTable(series, eval_points)
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm
@@ -302,12 +299,22 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     return found, n_scanned
 
 
+def _config(config) -> DetectorConfig:
+    """``config``, or ``DetectorConfig()`` for ``None``; any other type raises."""
+    if config is None:
+        return DetectorConfig()
+    if not isinstance(config, DetectorConfig):
+        raise ValueError(f"config must be a DetectorConfig, got {type(config).__name__}")
+    return config
+
+
 def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     """Estimate change-points with the thresholded expanding-interval scan.
 
     Series longer than the configured window length are cut into consecutive
     windows, each detected independently, with the window-local estimates
-    offset back to global positions.
+    offset back to global positions. Whatever ``config.stop`` says, the scan
+    stops on the threshold, and the result's config records that rule.
 
     Parameters
     ----------
@@ -322,7 +329,7 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
         Sorted 1-based estimates with their detection scores.
     """
     series = as_series(series)
-    config = config or DetectorConfig()
+    config = replace(_config(config), stop=StopRule.THRESHOLD)
     T = len(series)
     if T < 2:
         raise ValueError("detection needs a series of length >= 2")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrast import _check_int, _check_positions
-from .detector import SCHEMA_VERSION, DetectorConfig
+from .detector import SCHEMA_VERSION, DetectorConfig, _config
 from .selector import segment
 from .simulate import ModelSpec, generate
 
@@ -146,15 +146,15 @@ def replicate_study(
     """Run seeded replications of one model and aggregate the outcomes.
 
     Every replication generates ``spec`` with its own seed; seeds run from
-    ``spec.seed`` to ``spec.seed + reps - 1``. A ``spec`` that is not a
-    ``ModelSpec`` or a bad ``reps`` raises ``ValueError`` before any run; a
+    ``spec.seed`` to ``spec.seed + reps - 1``. A ``spec`` or ``config`` of the
+    wrong type or a bad ``reps`` raises ``ValueError`` before any run; a
     failing replication is recorded with its error message rather than
     aborting the study.
     """
     if not isinstance(spec, ModelSpec):
         raise ValueError(f"spec must be a ModelSpec, got {spec!r}")
     reps = _check_int("reps", reps, 1)
-    config = config or DetectorConfig()
+    config = _config(config)
     records: list[Replication] = []
     for seed in range(spec.seed, spec.seed + reps):
         try:

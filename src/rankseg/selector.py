@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contrast import CusumTable, Norm, _check_positions, as_series, norm_value
-from .detector import DetectorConfig, Segmentation, StopRule, detect
+from .detector import DetectorConfig, Segmentation, StopRule, _config, detect
 
 __all__ = [
     "SolutionPath",
@@ -26,7 +26,6 @@ __all__ = [
     "st_likelihood",
     "bic_penalty",
     "bic_select",
-    "detect_bic",
     "segment",
 ]
 
@@ -69,15 +68,11 @@ class BicResult:
     changepoints: tuple[int, ...]
 
 
-def _overestimate_config(config: DetectorConfig) -> DetectorConfig:
-    """The relaxed scan: 80% of the constant."""
-    return replace(config, threshold_constant=OVERESTIMATE_FACTOR * config.resolved_constant())
-
-
-def overestimate(series, config: DetectorConfig | None = None) -> tuple[int, ...]:
-    """Candidate change-points from a sweep at 80% of the threshold constant."""
-    config = config or DetectorConfig()
-    return detect(series, _overestimate_config(config)).changepoints
+def overestimate(series, config: DetectorConfig | None = None) -> Segmentation:
+    """The candidate sweep: the :func:`detect` result at 80% of the constant."""
+    config = _config(config)
+    relaxed = OVERESTIMATE_FACTOR * config.resolved_constant()
+    return detect(series, replace(config, threshold_constant=relaxed))
 
 
 def solution_path(series, candidates, config: DetectorConfig | None = None) -> SolutionPath:
@@ -89,11 +84,11 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     under ``linf`` each level is divided by its indicator standard deviation.
     The lowest-scoring candidate is removed and only its former neighbours
     are re-scored, which leaves every other triplet untouched. The returned
-    ordering lists the last-removed candidate first. ``config`` defaults to
-    ``DetectorConfig()``, so the path is the one :func:`detect_bic` builds.
+    ordering lists the last-removed candidate first. On the candidates
+    ``overestimate(series, config).changepoints`` it is ``segment(...).path``.
     """
     series = as_series(series)
-    config = config or DetectorConfig()
+    config = _config(config)
     T = len(series)
     work = list(_check_positions(candidates, T, "candidates"))
     if not work:
@@ -183,11 +178,18 @@ def bic_select(series, path: SolutionPath) -> BicResult:
     return BicResult(chosen, tuple(scores), penalty, path.model(chosen))
 
 
-def detect_bic(series, config: DetectorConfig | None = None) -> Segmentation:
-    """Full pipeline: overestimate, order by importance, select by criterion."""
+def segment(series, config: DetectorConfig | None = None) -> Segmentation:
+    """The pipeline: change-points of ``series`` under the rule ``config.stop``.
+
+    ``threshold`` runs :func:`detect`; ``bic`` runs :func:`overestimate`,
+    :func:`solution_path` and :func:`bic_select`, and scores each change-point
+    by its removal score on the path. The result's config names the rule.
+    """
+    config = _config(config)
+    if config.stop is StopRule.THRESHOLD:
+        return detect(series, config)
     series = as_series(series)
-    config = config or DetectorConfig()
-    over = detect(series, _overestimate_config(config))
+    over = overestimate(series, config)
     path = solution_path(series, over.changepoints, config)
     choice = bic_select(series, path)
     score_of = dict(zip(path.ordered, path.removal_scores))
@@ -200,11 +202,3 @@ def detect_bic(series, config: DetectorConfig | None = None) -> Segmentation:
         path=path,
         bic=choice,
     )
-
-
-def segment(series, config: DetectorConfig | None = None) -> Segmentation:
-    """Dispatch to :func:`detect` or :func:`detect_bic` per ``config.stop``."""
-    config = config or DetectorConfig()
-    if config.stop is StopRule.THRESHOLD:
-        return detect(series, config)
-    return detect_bic(series, config)

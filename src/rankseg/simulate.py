@@ -29,11 +29,11 @@ class ModelSpec:
     ``model`` is one of :func:`list_models`, in any case, and is stored
     upper-case; sizes are never part of the id (``T1`` with ``length=6000``,
     not ``"T1(6000)"``). ``seed`` is an integer ``>= 0``. ``length``
-    applies to the timing and no-change families and must be an integer
-    ``>= 1`` when given; ``rate`` is the Poisson mean of the no-change
-    Poisson family and must be a finite real ``>= 0`` when given. Numbers
-    are stored as Python ``int``/``float``. Fixed-size models ignore
-    ``length`` and ``rate``.
+    sizes the timing and no-change families (``T1``, ``T2``,
+    ``NOCHANGE_GAUSS/CAUCHY/POIS``) and must be an integer ``>= 1`` when
+    given; ``rate`` is the Poisson mean of ``NOCHANGE_POIS`` and must be a
+    finite real ``>= 0`` when given. Either one given for a model it does not
+    size raises ``ValueError``. Numbers are stored as Python ``int``/``float``.
     """
 
     model: str
@@ -49,6 +49,11 @@ class ModelSpec:
             )
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        for name, sized in (("length", _SIZED), ("rate", ("NOCHANGE_POIS",))):
+            if getattr(self, name) is not None and model not in sized:
+                raise ValueError(
+                    f"model {model} takes no {name}; a {name} sizes {', '.join(sized)}"
+                )
         if self.length is not None:
             object.__setattr__(self, "length", _check_int("length", self.length, 1))
         rate = self.rate
@@ -165,34 +170,30 @@ def _gen_md3(rng, spec):
     return np.concatenate(parts), (200, 500, 750)
 
 
-def _length(spec: ModelSpec, default: int) -> int:
-    return default if spec.length is None else spec.length
-
-
 def _gen_t1(rng, spec):
-    length = _length(spec, 3000)
+    length = spec.length or 3000
     cps = _every(30, length)
     signal = _alternating([0.0, 4.0], cps, length)
     return signal + 0.5 * rng.standard_normal(length), cps
 
 
 def _gen_t2(rng, spec):
-    length = _length(spec, 3000)
+    length = spec.length or 3000
     cps = _every(250, length)
     return _scaled_gauss(rng, [1.0, 2.0], cps, length), cps
 
 
 def _gen_nochange_gauss(rng, spec):
-    return rng.standard_normal(_length(spec, 500)), ()
+    return rng.standard_normal(spec.length or 500), ()
 
 
 def _gen_nochange_cauchy(rng, spec):
-    return rng.standard_cauchy(_length(spec, 500)), ()
+    return rng.standard_cauchy(spec.length or 500), ()
 
 
 def _gen_nochange_pois(rng, spec):
     rate = 3.0 if spec.rate is None else spec.rate
-    return rng.poisson(rate, _length(spec, 500)).astype(float), ()
+    return rng.poisson(rate, spec.length or 500).astype(float), ()
 
 
 _GENERATORS = {
@@ -215,6 +216,9 @@ _GENERATORS = {
     "NOCHANGE_CAUCHY": _gen_nochange_cauchy,
     "NOCHANGE_POIS": _gen_nochange_pois,
 }
+
+# the models a length sizes (a rate sizes NOCHANGE_POIS); the rest are fixed
+_SIZED = ("NOCHANGE_CAUCHY", "NOCHANGE_GAUSS", "NOCHANGE_POIS", "T1", "T2")
 
 # exp-transformed twins share the base model's seed, draw and truth
 _TRANSFORMED = {"MM_GAUSS_TR": "MM_GAUSS", "MM_POIS_TR": "MM_POIS"}
@@ -239,7 +243,7 @@ def generate(spec: ModelSpec) -> Series:
         Values plus the model's true change-point positions.
     """
     if spec.model in _TRANSFORMED:
-        base = generate(ModelSpec(_TRANSFORMED[spec.model], spec.seed, spec.length, spec.rate))
+        base = generate(ModelSpec(_TRANSFORMED[spec.model], spec.seed))
         return Series(np.exp(base.values), base.truth)
     rng = np.random.default_rng(spec.seed)
     values, truth = _GENERATORS[spec.model](rng, spec)

@@ -19,7 +19,6 @@ from rankseg import (
     StopRule,
     bic_penalty,
     detect,
-    detect_bic,
     generate,
     grid_points,
     hausdorff,
@@ -108,17 +107,17 @@ def test_criterion_2_rank_invariance():
     for i in range(50):
         series = generate(ModelSpec(models[i % len(models)], 1000 + i))
         base_thresh = detect(series, threshold_cfg).changepoints
-        base_bic = detect_bic(series, bic_cfg).changepoints
+        base_bic = segment(series, bic_cfg).changepoints
         for transform in transforms:
             mapped = transform(series.values)
             checked += 1
             if detect(mapped, threshold_cfg).changepoints != base_thresh:
                 mismatches += 1
-            if detect_bic(mapped, bic_cfg).changepoints != base_bic:
+            if segment(mapped, bic_cfg).changepoints != base_bic:
                 mismatches += 1
     _verdict(
         2,
-        "detect and detect_bic invariant under exp and affine maps",
+        "detect and segment (bic) invariant under exp and affine maps",
         mismatches == 0,
         f"{mismatches} mismatches over {checked} transformed series",
     )

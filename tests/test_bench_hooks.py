@@ -4,7 +4,10 @@
 table's ``prefix`` and ``length``; ``bench/run.py`` reads the evaluation
 set's ``mode`` to decide where a dense-rank run must agree exactly. A traced
 run reports a lost target as absent and goes on, and a lost ``mode`` would
-silently switch that agreement check off, so the names are pinned here.
+silently switch that agreement check off, so the names are pinned here. A
+target that resolves but is no longer called, or a scan handed another
+constant than the one the tracer reads, would skew its counters silently,
+so one traced ``segment`` call per stop rule is checked too.
 """
 
 import importlib.util
@@ -13,7 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankseg import CusumTable, DetectorConfig, Series, grid_points
+from rankseg import (
+    CusumTable,
+    DetectorConfig,
+    ModelSpec,
+    Series,
+    generate,
+    grid_points,
+    overestimate,
+    segment,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -45,3 +57,21 @@ def test_table_exposes_prefix_and_length():
 def test_default_eval_set_mode(T, mode):
     x = np.random.default_rng(T).standard_normal(T)
     assert DetectorConfig().eval_points_for(Series(x)).mode == mode
+
+
+@pytest.mark.parametrize("stop", ["bic", "threshold"])
+def test_traced_segment_calls_every_target(stop):
+    spans = load_spans()
+    series = generate(ModelSpec("MM_GAUSS", 0))
+    config = DetectorConfig(stop=stop)
+    with spans.Tracer() as tracer:
+        seg = tracer.call(0, segment, series.values, config)
+    assert tracer.absent == [] and not tracer.hook_errors
+    # the scan fires once per detection, on the constant the tracer read
+    if stop == "bic":
+        calls = tracer.totals()
+        for module_name, path in spans.TARGETS:
+            assert calls[f"{module_name}.{path}"]["calls"] >= 1, f"{module_name}.{path}"
+        assert tracer.counts["hits"] == len(overestimate(series, config).changepoints)
+    else:
+        assert tracer.counts["hits"] == seg.n_changepoints

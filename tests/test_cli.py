@@ -207,6 +207,17 @@ class TestDetect:
         assert out == ""
         assert err.startswith("rankseg: error:") and "T=1000 and Q=1000" in err
 
+    def test_profile_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        # at T = Q = 1000 the table (3.8 MiB) fits a 6 MiB budget and the
+        # unsplit scan's full-interval profile (7.6 MiB) does not
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 6 * 2**20)
+        path = tmp_path / "x.csv"
+        write_series(path, np.random.default_rng(0).standard_normal(1000))
+        code, out, err = run(capsys, "detect", str(path), "--grid", "full", "--split", "off")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error: a scan profile for T=1000 and Q=1000")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/nonexistent/input.csv")
         assert code == 1
@@ -298,6 +309,14 @@ class TestStudy:
         assert code == 1
         assert out == ""
         assert "length must be >= 1" in err
+
+    def test_length_of_fixed_size_model_fails_cleanly(self, capsys):
+        # this once exited 0 with "length": 600 over 200-point M1 series
+        code, out, err = run(capsys, "study", "--model", "M1", "--length", "600",
+                             "--reps", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error:") and "model M1 takes no length" in err
 
     def test_report_records_length_and_rate(self, capsys):
         # a T1(600) study once wrote "model": "T1" and nothing of its size

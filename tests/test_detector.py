@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from rankseg import (
     Norm,
     Segmentation,
     StopRule,
-    default_constant,
     detect,
     grid_points,
     interval_sequences,
@@ -24,6 +24,14 @@ from rankseg.simulate import ModelSpec, generate
 from conftest import naive_interval_sequences, thresholds_of
 
 THRESHOLD = DetectorConfig(stop=StopRule.THRESHOLD)
+
+
+def test_public_names():
+    # the package's __all__ joins each module's own list; each name resolves
+    import rankseg
+
+    assert len(rankseg.__all__) == len(set(rankseg.__all__)) == 30
+    assert all(hasattr(rankseg, name) for name in rankseg.__all__)
 
 
 class TestThreshold:
@@ -41,11 +49,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(0.9, 1)
 
-    def test_default_constants(self):
-        assert default_constant(Norm.LINF) == 0.9
-        assert default_constant(Norm.L2) == 0.6
+    def test_calibrated_constants(self):
+        assert DetectorConfig(norm=Norm.LINF).resolved_constant() == 0.9
+        assert DetectorConfig(norm=Norm.L2).resolved_constant() == 0.6
         with pytest.raises(ValueError):
-            default_constant(Norm.L1)
+            DetectorConfig(norm=Norm.L1).resolved_constant()
 
 
 def sides(s, e, step, length):
@@ -430,3 +438,52 @@ class TestDetect:
         whole = detect(x, DetectorConfig(stop=StopRule.THRESHOLD, split=None))
         assert len(split.changepoints) == len(whole.changepoints) == 1
         assert abs(split.changepoints[0] - whole.changepoints[0]) <= 2
+
+    def test_echo_names_the_threshold_rule(self):
+        # detect always thresholds; its echo once said "bic" under the default
+        x = generate(ModelSpec("M1", 0))
+        assert detect(x).to_dict()["config"]["stop"] == "threshold"
+        assert detect(x, DetectorConfig(norm="l2")).config == DetectorConfig(
+            norm="l2", stop="threshold"
+        )
+        for stop in ("threshold", "bic"):
+            assert segment(x, DetectorConfig(stop=stop)).to_dict()["config"]["stop"] == stop
+
+    @pytest.mark.parametrize("bad", ["l2", Norm.L2, {"norm": "l2"}], ids=["str", "norm", "dict"])
+    def test_non_config_rejected(self, bad):
+        # detect(x, "l2") once read the string's split method as the window length
+        x = generate(ModelSpec("M1", 0))
+        with pytest.raises(ValueError, match=f"config must be a DetectorConfig, got {type(bad).__name__}"):
+            detect(x, bad)
+        with pytest.raises(ValueError, match="config must be a DetectorConfig"):
+            segment(x, bad)
+
+
+class TestProfileBudget:
+    """The scan's (T - 1) * Q float64 profile is bounded like the int32 table.
+
+    At T = Q = 1000 the table needs 1001 * 1000 * 4 bytes (3.8 MiB) and the
+    full-interval profile 999 * 1000 * 8 bytes (7.6 MiB): a 6 MiB budget
+    admits the first and refuses the second before it is allocated.
+    """
+
+    BUDGET = 6 * 2**20
+
+    def test_profile_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", self.BUDGET)
+        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))
+        assert CusumTable(x, grid_points(x, 1000)).prefix.shape == (1001, 1000)
+        message = "a scan profile for T=1000 and Q=1000 levels needs 8 MiB, over the 6 MiB limit"
+        for stop in ("threshold", "bic"):
+            with pytest.raises(ValueError, match=message):
+                detect(x, DetectorConfig(grid="full", stop=stop))
+        assert detect(x, DetectorConfig(grid=500)).length == 1000
+
+    def test_profile_bound_is_per_window(self, monkeypatch):
+        # split windows of 1000 fit where the unsplit 2000-point scan does not
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", self.BUDGET)
+        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=2000))
+        config = DetectorConfig(grid=500, stop="threshold")
+        with pytest.raises(ValueError, match="T=2000 and Q=500"):
+            detect(x, replace(config, split=None))
+        assert detect(x, replace(config, split=1000)).intervals_evaluated > 0

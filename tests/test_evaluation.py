@@ -122,6 +122,12 @@ class TestReplicateStudy:
             replicate_study("M1", reps=2)
         assert replicate_study(ModelSpec("m1", 0), reps=1).spec.model == "M1"
 
+    def test_config_checked_before_any_run(self):
+        # "l2" once gave a report whose three replications each recorded
+        # "'str' object has no attribute 'stop'" instead of raising
+        with pytest.raises(ValueError, match="config must be a DetectorConfig, got str"):
+            replicate_study(ModelSpec("M1", 0), "l2", reps=3)
+
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=0)

@@ -14,7 +14,6 @@ from rankseg import (
     bic_penalty,
     bic_select,
     detect,
-    detect_bic,
     overestimate,
     segment,
     solution_path,
@@ -99,7 +98,7 @@ class TestStLikelihood:
 
     def test_equals_sorted_oracle_on_every_path_prefix(self):
         series = generate(ModelSpec("T1", 0))
-        path = detect_bic(series).path
+        path = segment(series).path
         assert len(path) > 50
         for j in range(len(path) + 1):
             bpts = path.model(j)
@@ -176,7 +175,7 @@ class TestBicSelect:
 
     def test_chosen_minimises(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 0)).values
-        cands = overestimate(x, DetectorConfig())
+        cands = overestimate(x, DetectorConfig()).changepoints
         path = solution_path(x, cands, DetectorConfig(grid="full"))
         result = bic_select(x, path)
         assert set(result.changepoints) <= set(path.ordered)
@@ -238,7 +237,7 @@ class TestSolutionPath:
     def test_rank_invariance(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 7)).values
         cfg = DetectorConfig(grid="full")
-        cands = overestimate(x, cfg)
+        cands = overestimate(x, cfg).changepoints
         base = solution_path(x, cands, cfg)
         mapped = solution_path(np.exp(x), cands, cfg)
         assert base.ordered == mapped.ordered
@@ -259,23 +258,26 @@ class TestOverestimate:
             explicit = DetectorConfig(
                 norm=kind, threshold_constant=reduced, stop=StopRule.THRESHOLD
             )
-            assert overestimate(series, cfg) == detect(series, explicit).changepoints
+            assert overestimate(series, cfg).changepoints == detect(series, explicit).changepoints
+            echo = overestimate(series, cfg).config
+            assert echo.stop is StopRule.THRESHOLD
+            assert echo.threshold_constant == pytest.approx(reduced)
 
     def test_noise_gives_few_candidates(self):
         series = generate(ModelSpec("NOCHANGE_GAUSS", 1, length=200))
-        assert len(overestimate(series, DetectorConfig())) <= 3
+        assert overestimate(series, DetectorConfig()).n_changepoints <= 3
 
 
 class TestDetectBic:
     def test_constant_series_empty(self):
-        seg = detect_bic([2.0] * 50)
+        seg = segment([2.0] * 50)
         assert seg.changepoints == ()
         assert seg.bic.chosen_j == 0
 
     def test_two_level_step(self):
         rng = np.random.default_rng(21)
         x = np.concatenate([rng.normal(0.0, 1.0, 60), rng.normal(8.0, 1.0, 60)])
-        seg = detect_bic(x)
+        seg = segment(x)
         assert len(seg.changepoints) == 1
         assert abs(seg.changepoints[0] - 60) <= 2
 
@@ -283,12 +285,12 @@ class TestDetectBic:
         cfg = DetectorConfig(grid="full")
         for seed in range(5):
             series = generate(ModelSpec("MM_GAUSS", seed))
-            base = detect_bic(series, cfg).changepoints
-            assert detect_bic(np.exp(series.values), cfg).changepoints == base
+            base = segment(series, cfg).changepoints
+            assert segment(np.exp(series.values), cfg).changepoints == base
 
     def test_m1_smoke(self):
         hits = sum(
-            detect_bic(generate(ModelSpec("M1", seed))).n_changepoints == 1
+            segment(generate(ModelSpec("M1", seed))).n_changepoints == 1
             for seed in range(20)
         )
         assert hits >= 16
@@ -299,25 +301,26 @@ class TestDetectBic:
     )
     def test_solution_path_is_the_pipelines_path(self, cfg):
         # the path stage reads the pipeline's config: same levels, same norm,
-        # rescaled exactly under linf, so the stages compose to detect_bic
+        # rescaled exactly under linf, so the stages compose to segment
         models = ["MM_GAUSS", "MV_GAUSS", "MD2", "MD3", "MV_GAUSS2", "MM_GAUSS2"]
         for model in models:
             for seed in range(3):
                 series = generate(ModelSpec(model, seed))
-                path = solution_path(series, overestimate(series, cfg), cfg)
-                assert path == detect_bic(series, cfg).path
+                path = solution_path(series, overestimate(series, cfg).changepoints, cfg)
+                assert path == segment(series, cfg).path
 
     def test_table_over_budget_raises(self, monkeypatch):
-        # full levels at T = 1000 need a 4 MB table, over a 1 MiB budget
-        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 2**20)
+        # full levels at T = 1000 need a 4 MB table and an 8 MB scan profile,
+        # over a 2 MiB budget; 200 levels need 0.8 MB and 1.6 MB
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 2 * 2**20)
         series = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))
         with pytest.raises(ValueError, match="T=1000 and Q=1000"):
-            detect_bic(series, DetectorConfig(grid="full"))
-        assert detect_bic(series, DetectorConfig(grid=200)).changepoints == ()
+            segment(series, DetectorConfig(grid="full"))
+        assert segment(series, DetectorConfig(grid=200)).changepoints == ()
 
     def test_scores_come_from_path(self):
         series = generate(ModelSpec("MM_GAUSS", 4))
-        seg = detect_bic(series)
+        seg = segment(series)
         lookup = dict(zip(seg.path.ordered, seg.path.removal_scores))
         assert seg.scores == tuple(lookup[c] for c in seg.changepoints)
 
@@ -328,4 +331,6 @@ class TestDetectBic:
         assert thresh.bic is None
         assert bic.bic is not None
         assert thresh.changepoints == detect(series, DetectorConfig(stop="threshold")).changepoints
-        assert bic.changepoints == detect_bic(series, DetectorConfig()).changepoints
+        cfg = DetectorConfig()
+        path = solution_path(series, overestimate(series, cfg).changepoints, cfg)
+        assert bic.changepoints == bic_select(series, path).changepoints

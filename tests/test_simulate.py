@@ -195,3 +195,19 @@ class TestParseModel:
         for bad in ["NOPE", "T1(6000)", "NOCHANGE_POIS(3, 500)", "", 5, None]:
             with pytest.raises(ValueError, match="unknown model id"):
                 ModelSpec(bad, 0)
+
+    @pytest.mark.parametrize(
+        "model, size",
+        [
+            ("M1", {"length": 600}),
+            ("MM_GAUSS_TR", {"length": 400}),
+            ("NC", {"length": 500}),
+            ("T1", {"rate": 5.0}),
+            ("NOCHANGE_GAUSS", {"rate": 1.0}),
+            ("MM_POIS", {"rate": 2.0}),
+        ],
+    )
+    def test_size_the_model_ignores_rejected(self, model, size):
+        # M1 with length=600 once generated its fixed 200 points
+        with pytest.raises(ValueError, match=model):
+            ModelSpec(model, 0, **size)
