@@ -83,17 +83,14 @@ def _word_or_int(flag: str, value, words: dict):
 
 
 def _config_from_args(args: argparse.Namespace) -> DetectorConfig:
-    try:
-        return DetectorConfig(
-            expansion_step=args.expansion_step,
-            norm=args.norm,
-            threshold_constant=args.threshold_constant,
-            stop=args.stop,
-            grid=_word_or_int("--grid", args.grid, {"auto": "auto", "full": "full"}),
-            split=_word_or_int("--split", args.split, {"off": None}),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return DetectorConfig(
+        expansion_step=args.expansion_step,
+        norm=args.norm,
+        threshold_constant=args.threshold_constant,
+        stop=args.stop,
+        grid=_word_or_int("--grid", args.grid, {"auto": "auto", "full": "full"}),
+        split=_word_or_int("--split", args.split, {"off": None}),
+    )
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -111,28 +108,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise CliError(f"{args.input}: need at least 2 observations", EXIT_EMPTY)
     config = _config_from_args(args)
     start = time.perf_counter()
-    try:
-        result = segment(values, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = segment(values, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     _write_json({**result.to_dict(), "runtime_ms": elapsed_ms}, args.out)
     return EXIT_OK
 
 
-def _model_spec(args: argparse.Namespace, seed: int) -> ModelSpec:
-    try:
-        return ModelSpec(args.model, seed, args.length, args.rate)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _model_spec(args, args.seed)
-    try:
-        series = generate(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = ModelSpec(args.model, args.seed, args.length, args.rate)
+    series = generate(spec)
     csv_path = f"{args.out}.csv"
     truth_path = f"{args.out}.truth.json"
     with open(csv_path, "w") as handle:
@@ -153,12 +137,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    spec = _model_spec(args, args.seed)
+    spec = ModelSpec(args.model, args.seed, args.length, args.rate)
     config = _config_from_args(args)
-    try:
-        report = replicate_study(spec, config, reps=args.reps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = replicate_study(spec, config, reps=args.reps)
     _write_json(report.to_dict(), args.out)
     if args.csv:
         row = report.csv_row()
@@ -269,9 +250,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is an invalid setting or input
         print(f"rankseg: error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ length.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,20 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _check_real(name: str, value, minimum: float, *, strict: bool = False) -> float:
+    """``value`` as a Python float, if it is a finite real (not a bool) >= ``minimum``.
+
+    ``strict`` requires ``value > minimum`` instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    if not (math.isfinite(number) and (number > minimum if strict else number >= minimum)):
+        bound = f"{'>' if strict else '>='} {minimum:g}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+    return number
 
 
 def _check_bytes(what: str, T: int, Q: int, nbytes: int) -> None:

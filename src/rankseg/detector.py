@@ -11,7 +11,6 @@ maximisations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -26,6 +25,7 @@ from .contrast import (
     _check_bytes,
     _check_int,
     _check_positions,
+    _check_real,
     _profile_norms,
     as_series,
     grid_points,
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Version of the JSON documents the library and the command line write.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Calibrated threshold constants per norm; no calibration exists for l1.
 DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
@@ -147,13 +147,11 @@ class DetectorConfig:
         store("norm", Norm(self.norm))
         store("stop", StopRule(self.stop))
         store("expansion_step", _check_int("expansion_step", self.expansion_step, 1))
-        c = self.threshold_constant
-        if c is not None:
-            if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                raise ValueError(f"threshold_constant must be a real number, got {c!r}")
-            if not (math.isfinite(c) and c > 0):
-                raise ValueError(f"threshold_constant must be finite and > 0, got {c!r}")
-            store("threshold_constant", float(c))
+        if self.threshold_constant is not None:
+            store(
+                "threshold_constant",
+                _check_real("threshold_constant", self.threshold_constant, 0, strict=True),
+            )
         if self.grid not in ("auto", "full"):
             store("grid", _check_int("grid", self.grid, 1))
         if self.split is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,39 +52,47 @@ def hausdorff(truth, est, scale: int) -> float | None:
 
 @dataclass(frozen=True)
 class Replication:
-    """One seeded run of a study: what was estimated, how fast, or why not."""
+    """One seeded run of a study: what was estimated and how fast."""
 
     seed: int
     estimates: tuple[int, ...]
-    n_error: int | None
+    n_error: int
     distance: float | None
     runtime: float
-    error: str | None = None
 
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Aggregate of seeded replications of one model under one config.
+    """Seeded replications of one model under one config, and their summaries.
 
     ``spec`` is the study's ``ModelSpec``: its model id and size, and in
-    ``spec.seed`` the first of the ``reps`` consecutive seeds. ``frequencies``
-    maps the estimation error ``n_estimated - n_true`` to its count over the
-    replications that completed. ``mean_distance`` averages the scaled
-    Hausdorff distance over replications where both the truth and the
-    estimate are nonempty.
+    ``spec.seed`` the first of the ``reps`` consecutive seeds. Every summary
+    is read off ``replications``: ``frequencies`` maps the estimation error
+    ``n_estimated - n_true`` to its count, ``mean_distance`` averages the
+    scaled Hausdorff distance over replications where both the truth and the
+    estimate are nonempty, and ``mean_runtime`` averages the ``segment`` time.
     """
 
     spec: ModelSpec
-    reps: int
     config: DetectorConfig
-    frequencies: dict[int, int]
-    mean_distance: float | None
-    mean_runtime: float
     replications: tuple[Replication, ...] = field(repr=False)
 
     @property
-    def n_errors(self) -> int:
-        return sum(1 for r in self.replications if r.error is not None)
+    def reps(self) -> int:
+        return len(self.replications)
+
+    @property
+    def frequencies(self) -> dict[int, int]:
+        return dict(Counter(r.n_error for r in self.replications))
+
+    @property
+    def mean_distance(self) -> float | None:
+        distances = [r.distance for r in self.replications if r.distance is not None]
+        return float(np.mean(distances)) if distances else None
+
+    @property
+    def mean_runtime(self) -> float:
+        return float(np.mean([r.runtime for r in self.replications]))
 
     def frequency_buckets(self) -> dict[str, int]:
         """Counts clamped to the <=-2 / -1 / 0 / 1 / >=2 reporting buckets."""
@@ -110,7 +119,6 @@ class StudyReport:
             "buckets": self.frequency_buckets(),
             "mean_distance": self.mean_distance,
             "mean_runtime_s": self.mean_runtime,
-            "n_errors": self.n_errors,
             "replications": [
                 {
                     "seed": r.seed,
@@ -118,7 +126,6 @@ class StudyReport:
                     "n_error": r.n_error,
                     "distance": r.distance,
                     "runtime_s": r.runtime,
-                    "error": r.error,
                 }
                 for r in self.replications
             ],
@@ -143,13 +150,12 @@ class StudyReport:
 def replicate_study(
     spec: ModelSpec, config: DetectorConfig | None = None, reps: int = 100
 ) -> StudyReport:
-    """Run seeded replications of one model and aggregate the outcomes.
+    """Run seeded replications of one model and report them.
 
     Every replication generates ``spec`` with its own seed; seeds run from
     ``spec.seed`` to ``spec.seed + reps - 1``. A ``spec`` or ``config`` of the
-    wrong type or a bad ``reps`` raises ``ValueError`` before any run; a
-    failing replication is recorded with its error message rather than
-    aborting the study.
+    wrong type or a bad ``reps`` raises ``ValueError`` before any run; an
+    error in a replication propagates and ends the study.
     """
     if not isinstance(spec, ModelSpec):
         raise ValueError(f"spec must be a ModelSpec, got {spec!r}")
@@ -157,37 +163,12 @@ def replicate_study(
     config = _config(config)
     records: list[Replication] = []
     for seed in range(spec.seed, spec.seed + reps):
-        try:
-            series = generate(replace(spec, seed=seed))
-            start = time.perf_counter()
-            result = segment(series, config)
-            elapsed = time.perf_counter() - start
-            truth = series.truth or ()
-            dist = hausdorff(truth, result.changepoints, largest_segment(truth, len(series)))
-            records.append(
-                Replication(
-                    seed=seed,
-                    estimates=result.changepoints,
-                    n_error=len(result.changepoints) - len(truth),
-                    distance=dist,
-                    runtime=elapsed,
-                )
-            )
-        except Exception as exc:  # recorded, not fatal to the study
-            records.append(Replication(seed, (), None, None, 0.0, error=str(exc)))
-
-    frequencies: dict[int, int] = {}
-    for r in records:
-        if r.n_error is not None:
-            frequencies[r.n_error] = frequencies.get(r.n_error, 0) + 1
-    distances = [r.distance for r in records if r.distance is not None]
-    runtimes = [r.runtime for r in records if r.error is None]
-    return StudyReport(
-        spec=spec,
-        reps=reps,
-        config=config,
-        frequencies=frequencies,
-        mean_distance=float(np.mean(distances)) if distances else None,
-        mean_runtime=float(np.mean(runtimes)) if runtimes else 0.0,
-        replications=tuple(records),
-    )
+        series = generate(replace(spec, seed=seed))
+        start = time.perf_counter()
+        result = segment(series, config)
+        elapsed = time.perf_counter() - start
+        truth = series.truth or ()
+        dist = hausdorff(truth, result.changepoints, largest_segment(truth, len(series)))
+        n_error = len(result.changepoints) - len(truth)
+        records.append(Replication(seed, result.changepoints, n_error, dist, elapsed))
+    return StudyReport(spec, config, tuple(records))

@@ -10,16 +10,19 @@ their base model drawn with the same seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import Series, _check_int
+from .contrast import Series, _check_int, _check_real
 
 __all__ = ["ModelSpec", "generate", "list_models"]
 
 _SQRT3 = math.sqrt(3.0)
+
+# Largest mean numpy's Poisson sampler accepts; above it draws fail with
+# "lam value too large".
+POISSON_RATE_MAX = float(np.iinfo(np.int64).max) - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,8 @@ class ModelSpec:
     sizes the timing and no-change families (``T1``, ``T2``,
     ``NOCHANGE_GAUSS/CAUCHY/POIS``) and must be an integer ``>= 1`` when
     given; ``rate`` is the Poisson mean of ``NOCHANGE_POIS`` and must be a
-    finite real ``>= 0`` when given. Either one given for a model it does not
+    finite real ``>= 0`` and at most ``POISSON_RATE_MAX`` (numpy's Poisson
+    limit, about 9.2e18) when given. Either one given for a model it does not
     size raises ``ValueError``. Numbers are stored as Python ``int``/``float``.
     """
 
@@ -56,13 +60,13 @@ class ModelSpec:
                 )
         if self.length is not None:
             object.__setattr__(self, "length", _check_int("length", self.length, 1))
-        rate = self.rate
-        if rate is not None:
-            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-                raise ValueError(f"rate must be a real number, got {rate!r}")
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(f"rate must be finite and >= 0, got {rate}")
-            object.__setattr__(self, "rate", float(rate))
+        if self.rate is not None:
+            rate = _check_real("rate", self.rate, 0)
+            if rate > POISSON_RATE_MAX:
+                raise ValueError(
+                    f"rate must be <= {POISSON_RATE_MAX!r}, numpy's Poisson limit, got {rate!r}"
+                )
+            object.__setattr__(self, "rate", rate)
 
 
 def _alternating(levels, cps, length) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rankseg import DetectorConfig, StopRule, segment
+from rankseg import DetectorConfig, ModelSpec, StopRule, generate, segment
 from rankseg.cli import build_parser, main
 
 
@@ -102,7 +102,7 @@ class TestDetect:
         code, out, _ = run(capsys, "detect", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["changepoints"] == []
         assert payload["length"] == 200
         assert payload["bic"] is not None
@@ -331,6 +331,27 @@ class TestStudy:
         payload = json.loads(out)
         assert (payload["length"], payload["rate"]) == (None, 2.0)
 
+    def test_rate_above_poisson_limit_fails_cleanly(self, capsys):
+        # this once exited 0 with "lam value too large" in every replication
+        code, out, err = run(capsys, "study", "--model", "NOCHANGE_POIS", "--rate", "1e20",
+                             "--length", "50", "--reps", "2", "--stop", "threshold")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error:") and "numpy's Poisson limit" in err
+
+    def test_profile_over_budget_exits_as_detect(self, tmp_path, capsys, monkeypatch):
+        # this once exited 0 with a report in which every replication failed
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 6 * 2**20)
+        flags = ["--grid", "full", "--split", "off", "--stop", "threshold"]
+        code, out, err = run(capsys, "study", "--model", "NOCHANGE_GAUSS", "--length", "1000",
+                             "--reps", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error: a scan profile for T=1000 and Q=1000")
+        path = tmp_path / "x.csv"
+        write_series(path, generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000)).values)
+        assert run(capsys, "detect", str(path), *flags) == (code, out, err)
+
     def test_stdout_report(self, capsys):
         code, out, _ = run(capsys, "study", "--model", "NC", "--reps", "2",
                            "--stop", "threshold")
@@ -432,7 +453,7 @@ class TestDetectJson:
         rng = np.random.default_rng(5)
         values = np.concatenate([rng.normal(0, 1, 70), rng.normal(4, 1, 70)])
         payload = self.check(tmp_path, capsys, values, DetectorConfig())
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["bic"]["chosen_j"] == len(payload["changepoints"])
         assert sorted(payload["solution_path"][: payload["bic"]["chosen_j"]]) == (
             payload["changepoints"]

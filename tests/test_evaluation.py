@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from rankseg import (
     DetectorConfig,
     ModelSpec,
+    Replication,
     StopRule,
+    StudyReport,
     hausdorff,
     largest_segment,
     replicate_study,
@@ -81,7 +84,6 @@ class TestReplicateStudy:
     def test_frequencies_sum_to_reps(self):
         report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=12)
         assert sum(report.frequencies.values()) == 12
-        assert report.n_errors == 0
 
     def test_reproducible_modulo_runtime(self):
         cfg = DetectorConfig(stop=StopRule.THRESHOLD)
@@ -110,7 +112,6 @@ class TestReplicateStudy:
         report = replicate_study(spec, DetectorConfig(), reps=2)
         assert report.spec == spec
         assert [r.seed for r in report.replications] == [1, 2]
-        assert report.n_errors == 0
         doc = report.to_dict()
         assert (doc["model"], doc["length"], doc["rate"], doc["base_seed"]) == (
             "NOCHANGE_POIS", 60, 0.3, 1
@@ -127,6 +128,37 @@ class TestReplicateStudy:
         # "'str' object has no attribute 'stop'" instead of raising
         with pytest.raises(ValueError, match="config must be a DetectorConfig, got str"):
             replicate_study(ModelSpec("M1", 0), "l2", reps=3)
+
+    def test_segment_error_propagates(self, monkeypatch):
+        # an over-budget profile once gave a report of failed replications
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 6 * 2**20)
+        spec = ModelSpec("NOCHANGE_GAUSS", 0, length=1000)
+        config = DetectorConfig(grid="full", stop=StopRule.THRESHOLD)
+        with pytest.raises(ValueError, match="a scan profile for T=1000 and Q=1000"):
+            replicate_study(spec, config, reps=2)
+
+    def test_any_error_propagates(self, monkeypatch):
+        # the study once recorded every Exception and returned
+        def broken(series, config):
+            raise TypeError("broken segment")
+
+        monkeypatch.setattr("rankseg.evaluation.segment", broken)
+        with pytest.raises(TypeError, match="broken segment"):
+            replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=2)
+
+    def test_report_is_its_replications(self):
+        report = replicate_study(ModelSpec("MM_GAUSS", 0), DetectorConfig(), reps=5)
+        assert list(StudyReport.__dataclass_fields__) == ["spec", "config", "replications"]
+        assert "error" not in Replication.__dataclass_fields__
+        reps = report.replications
+        assert report.reps == 5
+        assert report.frequencies == dict(Counter(r.n_error for r in reps))
+        assert report.mean_runtime == pytest.approx(sum(r.runtime for r in reps) / 5)
+        distances = [r.distance for r in reps if r.distance is not None]
+        assert report.mean_distance == pytest.approx(sum(distances) / len(distances))
+        doc = report.to_dict()
+        assert "n_errors" not in doc
+        assert all("error" not in r for r in doc["replications"])
 
     def test_bad_reps(self):
         with pytest.raises(ValueError):
@@ -153,7 +185,7 @@ class TestReplicateStudy:
     def test_report_serialises(self):
         report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=2)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert list(payload)[:6] == ["schema", "model", "length", "rate", "reps", "base_seed"]
         assert payload["model"] == "M1"
         assert payload["length"] is None and payload["rate"] is None

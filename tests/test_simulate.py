@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankseg import ModelSpec, generate, list_models
+from rankseg.simulate import POISSON_RATE_MAX
 
 EXPECTED_SHAPES = {
     "NC": (500, ()),
@@ -74,6 +75,18 @@ class TestCatalogue:
     def test_bad_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="rate must be finite and >= 0"):
             ModelSpec("NOCHANGE_POIS", 0, rate=rate)
+
+    def test_rate_above_poisson_limit_rejected(self):
+        # rate=1e20 was once accepted and failed in numpy with "lam value too large"
+        with pytest.raises(ValueError, match="numpy's Poisson limit"):
+            ModelSpec("NOCHANGE_POIS", 0, rate=1e20)
+        with pytest.raises(ValueError, match="numpy's Poisson limit"):
+            ModelSpec("NOCHANGE_POIS", 0, rate=np.nextafter(POISSON_RATE_MAX, math.inf))
+
+    def test_rate_at_poisson_limit_generates(self):
+        assert POISSON_RATE_MAX == 9.223372006484771e18
+        series = generate(ModelSpec("NOCHANGE_POIS", 0, length=5, rate=POISSON_RATE_MAX))
+        assert len(series) == 5 and np.all(np.isfinite(series.values))
 
     @pytest.mark.parametrize("length", [2.5, True, "10", 10.0])
     def test_non_integer_length_rejected(self, length):
