@@ -5,12 +5,15 @@ rows; all reported positions are 1-based. Results are emitted as versioned
 JSON so downstream goldens stay valid. Models are named by their bare id;
 ``--length`` and ``--rate`` size them.
 
-Exit codes: 0 on success (regardless of how many change-points were found),
-1 for unreadable, non-numeric or non-finite input, invalid settings and
-runtime failures, 2 for bad command lines (argparse), 3 for an empty input
-series. The ``detect`` document is ``Segmentation.to_dict()`` plus
-``runtime_ms``. Each detector flag sets the ``DetectorConfig`` field named by
-its ``dest`` and takes its default from ``DetectorConfig()``.
+Exit codes: 0 on success (however many change-points were found); 2 for a bad
+command line, including a flag value of the wrong type; 1 for unreadable,
+non-numeric or non-finite input, unwritable output, settings the library
+rejects and runtime failures; 3 for an input series with fewer than two
+values. Outputs are written after the work, so a failed run leaves an
+existing output file as it was. The ``detect`` document is
+``Segmentation.to_dict()`` plus ``runtime_ms``. Each detector flag sets the
+``DetectorConfig`` field named by its ``dest`` and takes its default from
+``DetectorConfig()``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -40,57 +46,42 @@ __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_EMPTY = 3
+EXIT_TOO_FEW = 3
 
 
-class CliError(Exception):
-    """A user-facing failure with its process exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_ERROR):
-        super().__init__(message)
-        self.code = code
+class TooFewValues(ValueError):
+    """An input series with fewer than two values (exit code 3)."""
 
 
 def _read_series(path: str) -> np.ndarray:
     """Parse a one-column or time,value CSV into a float array."""
-    try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row and any(f.strip() for f in row)]
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise CliError(f"{path}: empty series", EXIT_EMPTY)
     values = []
-    for lineno, row in enumerate(rows, start=1):
-        fields = [f.strip() for f in row]
-        cell = fields[-1] if len(fields) >= 2 else fields[0]
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+    with open(path, newline="", errors="replace") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not any(field.strip() for field in row):
+                continue
+            cell = row[-1].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: non-numeric value {cell!r}"
+                ) from None
+    if len(values) < 2:
+        raise TooFewValues(f"{path}: need at least 2 values, got {len(values)}")
     return np.asarray(values, dtype=float)
 
 
-def _word_or_int(flag: str, value, words: dict):
-    """A flag value that is one of ``words`` (mapped) or an integer."""
+def _word_or_int(words: dict, value: str):
+    """An argparse ``type`` once ``words`` is bound: a mapped word or an integer."""
     if value in words:
         return words[value]
     try:
         return int(value)
     except ValueError:
         choices = ", ".join(map(repr, words))
-        raise CliError(f"{flag} expects {choices} or an integer, got {value!r}") from None
-
-
-def _config_from_args(args: argparse.Namespace) -> DetectorConfig:
-    return DetectorConfig(
-        expansion_step=args.expansion_step,
-        norm=args.norm,
-        threshold_constant=args.threshold_constant,
-        stop=args.stop,
-        grid=_word_or_int("--grid", args.grid, {"auto": "auto", "full": "full"}),
-        split=_word_or_int("--split", args.split, {"off": None}),
-    )
+        raise argparse.ArgumentTypeError(f"expects {choices} or an integer, got {value!r}") from None
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -102,19 +93,16 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace) -> None:
     values = _read_series(args.input)
-    if values.size < 2:
-        raise CliError(f"{args.input}: need at least 2 observations", EXIT_EMPTY)
-    config = _config_from_args(args)
+    config = DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
     start = time.perf_counter()
     result = segment(values, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     _write_json({**result.to_dict(), "runtime_ms": elapsed_ms}, args.out)
-    return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     spec = ModelSpec(args.model, args.seed, args.length, args.rate)
     series = generate(spec)
     csv_path = f"{args.out}.csv"
@@ -133,12 +121,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         truth_path,
     )
     print(f"wrote {csv_path} and {truth_path}")
-    return EXIT_OK
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
+def _cmd_study(args: argparse.Namespace) -> None:
     spec = ModelSpec(args.model, args.seed, args.length, args.rate)
-    config = _config_from_args(args)
+    config = DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
     report = replicate_study(spec, config, reps=args.reps)
     _write_json(report.to_dict(), args.out)
     if args.csv:
@@ -147,36 +134,42 @@ def _cmd_study(args: argparse.Namespace) -> int:
             writer = csv.DictWriter(handle, fieldnames=list(row))
             writer.writeheader()
             writer.writerow(row)
-    return EXIT_OK
 
 
 def _read_changepoints(path: str, length: int) -> tuple[int, ...]:
     """Positions from a JSON list or ``changepoints`` key, checked against ``T``."""
-    try:
-        with open(path) as handle:
+    with open(path, errors="replace") as handle:
+        try:
             data = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("changepoints")
     if not isinstance(data, list):
-        raise CliError(f"{path}: expected a list of integers or a 'changepoints' key")
+        raise ValueError(f"{path}: expected a list of integers or a 'changepoints' key")
     try:
         return _check_positions(data, length, "change-points")
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     if args.length < 2:
-        raise CliError(f"--T must be >= 2, got {args.length}")
+        raise ValueError(f"--T must be >= 2, got {args.length}")
     truth = _read_changepoints(args.truth, args.length)
     est = _read_changepoints(args.est, args.length)
     distance = hausdorff(truth, est, largest_segment(truth, args.length))
     print("NA" if distance is None else f"{distance:.10g}")
-    return EXIT_OK
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--model", required=True,
+        help=f"model id, e.g. {', '.join(list_models()[:4])}, ... (size it with --length/--rate)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--length", type=int, default=None)
+    parser.add_argument("--rate", type=float, default=None)
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -194,11 +187,12 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
          help="threshold constant (default: calibrated per norm)")
     flag("--stop", "stop", choices=[r.value for r in StopRule],
          help="stop rule (default %(default)s)")
-    flag("--grid", "grid", metavar="auto|full|Q",
+    flag("--grid", "grid", type=partial(_word_or_int, {"auto": "auto", "full": "full"}),
+         metavar="auto|full|Q",
          help="evaluation levels: 'full' (all T order statistics), Q equally spaced "
          f"ones, or 'auto' (full up to T = {FULL_EVAL_MAX}, else {DEFAULT_GRID_SIZE}) "
          "(default %(default)s)")
-    flag("--split", "split", metavar="off|N",
+    flag("--split", "split", type=partial(_word_or_int, {"off": None}), metavar="off|N",
          help="window length for splitting long series (default %(default)s)")
 
 
@@ -216,22 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=_cmd_detect)
 
     p_sim = sub.add_parser("simulate", help="generate a benchmark series")
-    p_sim.add_argument(
-        "--model", required=True,
-        help=f"model id, e.g. {', '.join(list_models()[:4])}, ... (size it with --length/--rate)",
-    )
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--length", type=int, default=None)
-    p_sim.add_argument("--rate", type=float, default=None)
+    _add_model_flags(p_sim)
     p_sim.add_argument("--out", required=True, help="output prefix for .csv and .truth.json")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_study = sub.add_parser("study", help="run seeded replications of one model")
-    p_study.add_argument("--model", required=True)
+    _add_model_flags(p_study)
     p_study.add_argument("--reps", type=int, default=100)
-    p_study.add_argument("--seed", type=int, default=0)
-    p_study.add_argument("--length", type=int, default=None)
-    p_study.add_argument("--rate", type=float, default=None)
     _add_detector_flags(p_study)
     p_study.add_argument("--out", default=None, help="write the JSON report here")
     p_study.add_argument("--csv", default=None, help="also write a one-row CSV summary")
@@ -249,10 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, ValueError) as exc:  # a ValueError is an invalid setting or input
+        args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # nothing reads stdout: send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    except (ValueError, OSError) as exc:
         print(f"rankseg: error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, CliError) else EXIT_ERROR
+        return EXIT_TOO_FEW if isinstance(exc, TooFewValues) else EXIT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

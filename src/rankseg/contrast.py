@@ -64,7 +64,10 @@ def _check_real(name: str, value, minimum: float, *, strict: bool = False) -> fl
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not (math.isfinite(number) and (number > minimum if strict else number >= minimum)):
         bound = f"{'>' if strict else '>='} {minimum:g}"
         raise ValueError(f"{name} must be finite and {bound}, got {value}")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,10 +160,10 @@ class TestDetect:
             main(["detect", str(path), "--rescale", "on"])
         assert exc.value.code == 2
         capsys.readouterr()
-        code, out, err = run(capsys, "detect", str(path), "--split", "auto")
-        assert code == 1
-        assert out == ""
-        assert "--split expects 'off' or an integer" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), "--split", "auto"])
+        assert exc.value.code == 2
+        assert "argument --split: expects 'off' or an integer" in capsys.readouterr().err
 
     def test_l1_without_constant_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -189,13 +193,15 @@ class TestDetect:
         assert "finite" in err
 
     @pytest.mark.parametrize("flag, value", [("--grid", "2.5"), ("--split", "150.5")])
-    def test_non_integer_sizes_exit_1(self, tmp_path, capsys, flag, value):
+    def test_non_integer_sizes_exit_2(self, tmp_path, capsys, flag, value):
         path = tmp_path / "x.csv"
         write_series(path, np.arange(50.0))
-        code, out, err = run(capsys, "detect", str(path), flag, value)
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert flag in err
+        assert flag in err and "or an integer" in err
 
     def test_table_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         # a full table at T = 1000 holds about 4 MB, over a 1 MiB budget
@@ -221,7 +227,7 @@ class TestDetect:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/nonexistent/input.csv")
         assert code == 1
-        assert "cannot read" in err
+        assert "/nonexistent/input.csv" in err and "No such file" in err
 
     def test_non_numeric_rows(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -229,6 +235,23 @@ class TestDetect:
         code, _, err = run(capsys, "detect", str(path))
         assert code == 1
         assert "non-numeric" in err
+
+    def test_non_numeric_line_number_counts_blank_lines(self, tmp_path, capsys):
+        # blank lines 1, 2 and 5 once made line 6 read as line 3
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\n1.0\n2.0\n\nabc\n")
+        code, _, err = run(capsys, "detect", str(path))
+        assert code == 1
+        assert f"{path}:6: non-numeric value 'abc'" in err
+
+    def test_undecodable_input_names_path(self, tmp_path, capsys):
+        # this once exited 1 with a bare "'utf-8' codec can't decode" message
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe1.0\n2.0\n")
+        code, out, err = run(capsys, "detect", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"{path}:1: non-numeric value" in err
 
     def test_empty_series_distinct_exit(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -390,6 +413,17 @@ class TestEvaluate:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_undecodable_json_names_path(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        truth.write_text("[50]")
+        est = tmp_path / "est.json"
+        est.write_bytes(b"\xff\xfe[1]")
+        code, out, err = run(capsys, "evaluate", "--truth", str(truth),
+                             "--est", str(est), "--T", "100")
+        assert code == 1
+        assert out == ""
+        assert f"{est}: invalid JSON" in err
+
     def evaluate(self, tmp_path, capsys, truth, est, length):
         (tmp_path / "truth.json").write_text(json.dumps(truth))
         (tmp_path / "est.json").write_text(json.dumps(est))
@@ -468,3 +502,43 @@ class TestDetectJson:
         assert payload["solution_path"] is None
         assert payload["removal_scores"] is None
         assert payload["bic"] is None
+
+
+class TestOutputErrors:
+    """Outputs are written after the work; a failure to write one is an error line."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["detect", "{series}", "--out", "{missing}/x.json"],
+            ["study", "--model", "M1", "--reps", "1", "--csv", "{missing}/x.csv"],
+            ["simulate", "--model", "M1", "--out", "{missing}/m1"],
+        ],
+        ids=["detect", "study", "simulate"],
+    )
+    def test_missing_directory_exit_1(self, tmp_path, capsys, command):
+        # each once finished the work, then died with a FileNotFoundError traceback
+        write_series(tmp_path / "x.csv", np.arange(50.0))
+        missing = tmp_path / "missing"
+        argv = [arg.format(series=tmp_path / "x.csv", missing=missing) for arg in command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("rankseg: error:") and err.count("\n") == 1
+        assert str(missing) in err
+
+    def test_closed_stdout_exit_1_quietly(self):
+        # writing to a pipe nobody reads once ended in a BrokenPipeError traceback
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rankseg.cli", "study", "--model", "M1", "--reps", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -229,9 +229,10 @@ class TestDetectorConfig:
         with pytest.raises(ValueError, match="split must be >= 2"):
             DetectorConfig(split=1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_non_finite_constant_rejected(self, bad):
-        # a NaN or infinite constant once silently returned no change-points
+        # a NaN or infinite constant once silently returned no change-points,
+        # and an integer beyond the float range raised OverflowError
         with pytest.raises(ValueError, match="finite"):
             DetectorConfig(threshold_constant=bad)
 

@@ -71,8 +71,11 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="length"):
             ModelSpec("NOCHANGE_GAUSS", 0, length=length)
 
-    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "rate", [-1.0, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_bad_rate_rejected(self, rate):
+        # an integer beyond the float range once raised OverflowError
         with pytest.raises(ValueError, match="rate must be finite and >= 0"):
             ModelSpec("NOCHANGE_POIS", 0, rate=rate)
 
