@@ -46,6 +46,14 @@ GRID = "grid"
 MAX_TABLE_BYTES = 2**30
 
 
+def _shown(value) -> str:
+    """``str(value)``, or the size of an integer too long for Python to print."""
+    try:
+        return str(value)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _check_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
     if type(value) is not int:  # plain ints, the common case, skip the checks
@@ -53,7 +61,7 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -70,7 +78,7 @@ def _check_real(name: str, value, minimum: float, *, strict: bool = False) -> fl
         number = math.inf
     if not (math.isfinite(number) and (number > minimum if strict else number >= minimum)):
         bound = f"{'>' if strict else '>='} {minimum:g}"
-        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+        raise ValueError(f"{name} must be finite and {bound}, got {_shown(value)}")
     return number
 
 
@@ -138,6 +146,11 @@ class Series:
         """
         v = self.values
         return np.searchsorted(np.sort(v), v, "left") + 1
+
+    @cached_property
+    def _st_terms(self) -> dict[tuple[int, int], float]:
+        """The S_T segment terms by ``(a, b)``, filled by ``st_likelihood``."""
+        return {}
 
 
 def as_series(data) -> Series:

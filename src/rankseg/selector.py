@@ -140,7 +140,8 @@ def st_likelihood(series, breakpoints=()) -> float:
     evaluated at the order statistics ``x_(l)`` of the full series, with the
     convention ``0 log 0 = 0``. ``F_i(x_(l))`` is the share of the segment's
     ranks ``<= l``, read off one ``bincount`` of the segment's ranks. Always
-    finite and <= 0; refining a segmentation never decreases it.
+    finite and <= 0; refining a segmentation never decreases it. Each segment
+    term is computed once per ``Series``, in a memo on it keyed by ``(a, b)``.
     """
     series = as_series(series)
     r = series.ranks
@@ -149,12 +150,15 @@ def st_likelihood(series, breakpoints=()) -> float:
     l = np.arange(2.0, T)
     weights = 1.0 / (l * (T - l))
 
+    terms = series._st_terms
     total = 0.0
     edges = [0, *bpts, T]
     for a, b in zip(edges, edges[1:]):
-        f = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T] / (b - a)
-        entropy = _xlogx(f) + _xlogx(1.0 - f)
-        total += (b - a) * float(weights @ entropy)
+        if (a, b) not in terms:
+            f = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T] / (b - a)
+            entropy = _xlogx(f) + _xlogx(1.0 - f)
+            terms[a, b] = (b - a) * float(weights @ entropy)
+        total += terms[a, b]
     return T * total
 
 
@@ -167,7 +171,8 @@ def bic_select(series, path: SolutionPath) -> BicResult:
     """Pick the prefix of the solution path minimising the criterion.
 
     Evaluates ``-st_likelihood + j * penalty`` for every ``j = 0..J`` and
-    returns the smallest minimiser.
+    returns the smallest minimiser. Through the ``Series`` term memo each
+    segment's term is computed once per call: 2J + 1 terms, O(J * T) in all.
     """
     series = as_series(series)
     penalty = bic_penalty(len(series))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import Series, _check_int, _check_real
+from .contrast import MAX_TABLE_BYTES, Series, _check_int, _check_real, _shown
 
 __all__ = ["ModelSpec", "generate", "list_models"]
 
@@ -33,11 +33,12 @@ class ModelSpec:
     upper-case; sizes are never part of the id (``T1`` with ``length=6000``,
     not ``"T1(6000)"``). ``seed`` is an integer ``>= 0``. ``length``
     sizes the timing and no-change families (``T1``, ``T2``,
-    ``NOCHANGE_GAUSS/CAUCHY/POIS``) and must be an integer ``>= 1`` when
-    given; ``rate`` is the Poisson mean of ``NOCHANGE_POIS`` and must be a
-    finite real ``>= 0`` and at most ``POISSON_RATE_MAX`` (numpy's Poisson
-    limit, about 9.2e18) when given. Either one given for a model it does not
-    size raises ``ValueError``. Numbers are stored as Python ``int``/``float``.
+    ``NOCHANGE_GAUSS/CAUCHY/POIS``) and must be an integer from 1 to
+    134,217,728 (1 GiB of float64 values) when given; ``rate`` is the Poisson
+    mean of ``NOCHANGE_POIS`` and must be a finite real ``>= 0`` and at most
+    ``POISSON_RATE_MAX`` (numpy's Poisson limit, about 9.2e18) when given.
+    Either one given for a model it does not size raises ``ValueError``.
+    Numbers are stored as Python ``int``/``float``.
     """
 
     model: str
@@ -59,7 +60,13 @@ class ModelSpec:
                     f"model {model} takes no {name}; a {name} sizes {', '.join(sized)}"
                 )
         if self.length is not None:
-            object.__setattr__(self, "length", _check_int("length", self.length, 1))
+            length = _check_int("length", self.length, 1)
+            if length > MAX_TABLE_BYTES // 8:
+                raise ValueError(
+                    f"length must be <= {MAX_TABLE_BYTES // 8:,}, 1 GiB of float64 values "
+                    f"(MAX_TABLE_BYTES), got {_shown(length)}"
+                )
+            object.__setattr__(self, "length", length)
         if self.rate is not None:
             rate = _check_real("rate", self.rate, 0)
             if rate > POISSON_RATE_MAX:

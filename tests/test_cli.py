@@ -69,6 +69,15 @@ class TestSimulate:
         assert "length must be >= 1" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_length_over_float64_budget_exit_1(self, tmp_path, capsys):
+        # this once ran until killed, building a ~3e21-entry change-point tuple
+        code, out, err = run(capsys, "simulate", "--model", "T1", "--length",
+                             "99999999999999999999999", "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rankseg: error: length must be <= 134,217,728")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "argv", [["NOCHANGE_POIS", "--rate", "-1"], ["NOCHANGE_POIS", "--rate", "nan"],
                  ["NOCHANGE_POIS", "--rate", "inf", "--length", "50"]],

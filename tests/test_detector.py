@@ -229,10 +229,15 @@ class TestDetectorConfig:
         with pytest.raises(ValueError, match="split must be >= 2"):
             DetectorConfig(split=1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, pytest.param(10**400, id="10**400"),
+         pytest.param(10**5000, id="10**5000")],
+    )
     def test_non_finite_constant_rejected(self, bad):
         # a NaN or infinite constant once silently returned no change-points,
-        # and an integer beyond the float range raised OverflowError
+        # an integer beyond the float range raised OverflowError, and one
+        # over Python's 4300-digit print limit raised that limit's error
         with pytest.raises(ValueError, match="finite"):
             DetectorConfig(threshold_constant=bad)
 

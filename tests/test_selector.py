@@ -97,12 +97,36 @@ class TestStLikelihood:
             assert st_likelihood(x, bpts) == sorted_st_likelihood(x, bpts)
 
     def test_equals_sorted_oracle_on_every_path_prefix(self):
+        # segment fills the series' term memo; every later lookup and every
+        # criterion score must equal the uncached oracle bit for bit
         series = generate(ModelSpec("T1", 0))
-        path = segment(series).path
+        seg = segment(series)
+        path = seg.path
         assert len(path) > 50
+        penalty = bic_penalty(len(series))
         for j in range(len(path) + 1):
             bpts = path.model(j)
-            assert st_likelihood(series, bpts) == sorted_st_likelihood(series.values, bpts)
+            oracle = sorted_st_likelihood(series.values, bpts)
+            assert st_likelihood(series, bpts) == oracle
+            assert seg.bic.scores[j] == -oracle + j * penalty
+
+    @pytest.mark.parametrize("length, terms", [(3000, 199), (6000, 399)])
+    def test_each_segment_term_computed_once_per_call(self, monkeypatch, length, terms):
+        # each path prefix splits one segment of the previous prefix, so the
+        # criterion needs 2J+1 distinct terms; _xlogx runs twice per term
+        calls = []
+
+        def counting(p):
+            calls.append(p.size)
+            return _xlogx(p)
+
+        monkeypatch.setattr("rankseg.selector._xlogx", counting)
+        x = generate(ModelSpec("T1", 0, length=length)).values
+        seg = segment(x)
+        assert len(calls) == 2 * terms == 2 * (2 * len(seg.path) + 1)
+        # an array carries no memo from one call to the next
+        assert segment(x).bic == seg.bic
+        assert len(calls) == 4 * terms
 
     def test_too_short_for_a_term(self):
         # no order statistic strictly inside 1..T: the sum is empty

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankseg import ModelSpec, generate, list_models
+from rankseg.contrast import MAX_TABLE_BYTES
 from rankseg.simulate import POISSON_RATE_MAX
 
 EXPECTED_SHAPES = {
@@ -72,10 +73,13 @@ class TestCatalogue:
             ModelSpec("NOCHANGE_GAUSS", 0, length=length)
 
     @pytest.mark.parametrize(
-        "rate", [-1.0, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+        "rate",
+        [-1.0, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"),
+         pytest.param(10**5000, id="10**5000")],
     )
     def test_bad_rate_rejected(self, rate):
-        # an integer beyond the float range once raised OverflowError
+        # an integer beyond the float range once raised OverflowError, and one
+        # over Python's 4300-digit print limit that limit's own error
         with pytest.raises(ValueError, match="rate must be finite and >= 0"):
             ModelSpec("NOCHANGE_POIS", 0, rate=rate)
 
@@ -90,6 +94,21 @@ class TestCatalogue:
         assert POISSON_RATE_MAX == 9.223372006484771e18
         series = generate(ModelSpec("NOCHANGE_POIS", 0, length=5, rate=POISSON_RATE_MAX))
         assert len(series) == 5 and np.all(np.isfinite(series.values))
+
+    @pytest.mark.parametrize(
+        "length",
+        [134_217_729, 10**12, pytest.param(10**5000, id="10**5000")],
+    )
+    def test_length_over_float64_budget_rejected(self, length):
+        # T1 with length=10**12 was once accepted and generation built a
+        # ~3e10-entry change-point tuple
+        with pytest.raises(ValueError, match="length must be <= 134,217,728"):
+            ModelSpec("T1", 0, length=length)
+
+    def test_length_at_float64_budget_accepted(self):
+        # 134,217,728 float64 values are exactly MAX_TABLE_BYTES; not generated
+        assert MAX_TABLE_BYTES // 8 == 134_217_728
+        assert ModelSpec("NOCHANGE_GAUSS", 0, length=134_217_728).length == 134_217_728
 
     @pytest.mark.parametrize("length", [2.5, True, "10", 10.0])
     def test_non_integer_length_rejected(self, length):
