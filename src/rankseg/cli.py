@@ -31,6 +31,7 @@ import numpy as np
 
 from .contrast import _check_positions
 from .detector import (
+    DEFAULT_CONSTANTS,
     DEFAULT_GRID_SIZE,
     FULL_EVAL_MAX,
     SCHEMA_VERSION,
@@ -184,7 +185,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     flag("--norm", "norm", choices=[n.value for n in Norm],
          help="mean-dominant norm (default %(default)s)")
     flag("--const", "threshold_constant", type=float, metavar="C",
-         help="threshold constant (default: calibrated per norm)")
+         help="threshold constant (default per norm: "
+         + ", ".join(f"{n.value} {c:g}" for n, c in DEFAULT_CONSTANTS.items()) + ")")
     flag("--stop", "stop", choices=[r.value for r in StopRule],
          help="stop rule (default %(default)s)")
     flag("--grid", "grid", type=partial(_word_or_int, {"auto": "auto", "full": "full"}),

@@ -46,8 +46,9 @@ __all__ = [
 # Version of the JSON documents the library and the command line write.
 SCHEMA_VERSION = 4
 
-# Calibrated threshold constants per norm; no calibration exists for l1.
-DEFAULT_CONSTANTS = {Norm.LINF: 0.9, Norm.L2: 0.6}
+# Threshold constant per norm; l1's is the smallest multiple of 0.05 at or above
+# its no-change 95% quantile at T = 30..6000 (demos/06_null_calibration.py).
+DEFAULT_CONSTANTS = {Norm.L1: 0.5, Norm.L2: 0.6, Norm.LINF: 0.9}
 
 # Largest series length for which all T order statistics are the default
 # evaluation set; above it DEFAULT_GRID_SIZE equally spaced ones take over.
@@ -115,7 +116,8 @@ class DetectorConfig:
         contrasts, which the calibrated constants assume.
     threshold_constant : float, optional
         Constant in the ``C * sqrt(log T)`` threshold. ``None`` selects the
-        calibrated default for the norm (0.9 for linf, 0.6 for l2).
+        calibrated default for the norm: 0.5 for l1, 0.6 for l2 and 0.9 for
+        linf (``DEFAULT_CONSTANTS``).
     stop : StopRule
         Read by ``segment``: ``threshold`` stops on the raw threshold rule;
         ``bic`` overestimates, builds a solution path and picks the model
@@ -156,17 +158,11 @@ class DetectorConfig:
             store("grid", _check_int("grid", self.grid, 1))
         if self.split is not None:
             store("split", _check_int("split", self.split, 2))
-        self.resolved_constant()  # fail at construction, not mid-scan
 
     def resolved_constant(self) -> float:
         """The threshold constant in effect: the given one or the norm's default."""
         if self.threshold_constant is not None:
             return self.threshold_constant
-        if self.norm not in DEFAULT_CONSTANTS:
-            raise ValueError(
-                f"no calibrated threshold constant for norm {self.norm.value!r}; "
-                "pass threshold_constant explicitly"
-            )
         return DEFAULT_CONSTANTS[self.norm]
 
     def eval_points_for(self, series: Series) -> EvalPoints:

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankseg import DetectorConfig, ModelSpec, StopRule, generate, segment
+from rankseg import DetectorConfig, ModelSpec, Norm, StopRule, generate, segment
 from rankseg.cli import build_parser, main
+from rankseg.detector import DEFAULT_CONSTANTS
 
 
 def run(capsys, *argv):
@@ -174,12 +175,13 @@ class TestDetect:
         assert exc.value.code == 2
         assert "argument --split: expects 'off' or an integer" in capsys.readouterr().err
 
-    def test_l1_without_constant_fails_cleanly(self, tmp_path, capsys):
+    def test_l1_without_constant_uses_default(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         write_series(path, np.arange(50.0))
-        code, _, err = run(capsys, "detect", str(path), "--norm", "l1")
-        assert code == 1
-        assert "constant" in err
+        code, out, _ = run(capsys, "detect", str(path), "--norm", "l1")
+        assert code == 0
+        resolved = json.loads(out)["config"]["resolved"]
+        assert resolved["threshold_constant"] == DEFAULT_CONSTANTS[Norm.L1]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_values_exit_1(self, tmp_path, capsys, bad):
@@ -299,12 +301,12 @@ class TestStudy:
         assert header.startswith("model,")
         assert row.startswith("M1,3,")
 
-    def test_l1_without_constant_fails_cleanly(self, capsys):
-        code, out, err = run(capsys, "study", "--model", "M1", "--reps", "2",
-                             "--norm", "l1")
-        assert code == 1
-        assert out == ""
-        assert "constant" in err
+    def test_l1_without_constant_uses_default(self, capsys):
+        code, out, _ = run(capsys, "study", "--model", "M1", "--reps", "2",
+                           "--norm", "l1")
+        assert code == 0
+        resolved = json.loads(out)["config"]["resolved"]
+        assert resolved["threshold_constant"] == DEFAULT_CONSTANTS[Norm.L1]
 
     def test_non_finite_constant_fails_cleanly(self, capsys):
         code, out, err = run(capsys, "study", "--model", "M1", "--reps", "2",

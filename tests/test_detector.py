@@ -18,7 +18,7 @@ from rankseg import (
     segment,
     threshold,
 )
-from rankseg.detector import _window_bounds
+from rankseg.detector import DEFAULT_CONSTANTS, _window_bounds
 from rankseg.simulate import ModelSpec, generate
 
 from conftest import naive_interval_sequences, thresholds_of
@@ -52,8 +52,8 @@ class TestThreshold:
     def test_calibrated_constants(self):
         assert DetectorConfig(norm=Norm.LINF).resolved_constant() == 0.9
         assert DetectorConfig(norm=Norm.L2).resolved_constant() == 0.6
-        with pytest.raises(ValueError):
-            DetectorConfig(norm=Norm.L1).resolved_constant()
+        assert DetectorConfig(norm=Norm.L1).resolved_constant() == 0.5
+        assert set(DEFAULT_CONSTANTS) == set(Norm)
 
 
 def sides(s, e, step, length):
@@ -181,10 +181,11 @@ class TestDetectorConfig:
         assert cfg.to_dict()["resolved"] == {"threshold_constant": 0.6}
         assert "rescale" not in cfg.to_dict()
 
-    def test_l1_requires_explicit_constant(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(norm=Norm.L1).resolved_constant()
-        assert DetectorConfig(norm=Norm.L1, threshold_constant=0.5).resolved_constant() == 0.5
+    def test_l1_default_constant(self):
+        cfg = DetectorConfig(norm=Norm.L1)
+        assert cfg.resolved_constant() == 0.5
+        assert cfg.to_dict()["resolved"] == {"threshold_constant": 0.5}
+        assert DetectorConfig(norm=Norm.L1, threshold_constant=0.7).resolved_constant() == 0.7
 
     def test_eval_mode_auto_cutoff(self):
         cfg = DetectorConfig()
@@ -348,11 +349,13 @@ class TestDetect:
         assert len(seg.changepoints) == 1
         assert abs(seg.changepoints[0] - 50) <= 2
 
-    def test_gaussian_noise_type1(self):
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_gaussian_noise_type1(self, norm):
         # threshold rule at the calibrated constant rarely fires on noise
+        config = DetectorConfig(norm=norm, stop=StopRule.THRESHOLD)
         zeros = sum(
             detect(
-                generate(ModelSpec("NOCHANGE_GAUSS", seed, length=500)), THRESHOLD
+                generate(ModelSpec("NOCHANGE_GAUSS", seed, length=500)), config
             ).n_changepoints
             == 0
             for seed in range(100)
