@@ -9,19 +9,28 @@ Exit codes: 0 on success (however many change-points were found); 2 for a bad
 command line, including a flag value of the wrong type; 1 for unreadable,
 non-numeric or non-finite input, unwritable output, settings the library
 rejects and runtime failures; 3 for an input series with fewer than two
-values. Outputs are written after the work, so a failed run leaves an
-existing output file as it was. The ``detect`` document is
-``Segmentation.to_dict()`` plus ``runtime_ms``. Each detector flag sets the
-``DetectorConfig`` field named by its ``dest`` and takes its default from
-``DetectorConfig()``.
+values. Every output is rendered after the work. Each output file is written
+to a temporary file beside it, and the files are replaced only once all are
+written; stdout comes last. So a failed write leaves no new data behind:
+every existing output file stays as it was and nothing is printed, also for
+``simulate`` (``.csv`` and ``.truth.json``) and ``study`` with both ``--out``
+and ``--csv``. A symlinked output updates the file it names, and an output
+that is not a regular file (``/dev/null``, a pipe) is written through, after
+the files. The ``detect`` document is ``Segmentation.to_dict()`` plus
+``runtime_ms``. Each detector flag sets the ``DetectorConfig`` field named by
+its ``dest`` and takes its default from ``DetectorConfig()``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import io
 import json
 import os
+import secrets
+import shutil
 import sys
 import time
 from dataclasses import fields
@@ -85,13 +94,50 @@ def _word_or_int(words: dict, value: str):
         raise argparse.ArgumentTypeError(f"expects {choices} or an integer, got {value!r}") from None
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _commit(outputs: dict[str | None, str]) -> None:
+    """Write each ``path: text`` of ``outputs``, the text keyed ``None`` last to stdout.
+
+    A regular (or absent) target, found through any symlink, gets its text in
+    a temporary file beside it, and the targets are replaced only once every
+    temporary file is written, so a failure leaves no new data behind and
+    prints nothing. Any other target (``/dev/null``, a pipe) is written
+    through after that, as ``open(path, "w")`` would.
+    """
+    staged, through = [], []
+    try:
+        for path, text in outputs.items():
+            if path is None:
+                continue
+            target = os.path.realpath(path)
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(target) and not os.path.isfile(target):
+                through.append((target, text))
+                continue
+            tmp = f"{target}.{secrets.token_hex(8)}.tmp"
+            try:
+                handle = open(tmp, "x", newline="")
+            except OSError as exc:  # name the target, not its temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, target))
+            with handle:
+                if os.path.isfile(target):
+                    shutil.copymode(target, tmp)
+                handle.write(text)
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
+    finally:
+        for tmp, _ in staged:
+            os.remove(tmp)
+    for target, text in through:
+        with open(target, "w", newline="") as handle:
+            handle.write(text)
+    print(outputs.get(None, ""), end="")
 
 
 def _cmd_detect(args: argparse.Namespace) -> None:
@@ -100,7 +146,7 @@ def _cmd_detect(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     result = segment(values, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _write_json({**result.to_dict(), "runtime_ms": elapsed_ms}, args.out)
+    _commit({args.out or None: _json({**result.to_dict(), "runtime_ms": elapsed_ms})})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -108,33 +154,33 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     series = generate(spec)
     csv_path = f"{args.out}.csv"
     truth_path = f"{args.out}.truth.json"
-    with open(csv_path, "w") as handle:
-        for value in series.values:
-            handle.write(f"{float(value)!r}\n")
-    _write_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "model": spec.model,
-            "seed": spec.seed,
-            "length": len(series),
-            "changepoints": list(series.truth or ()),
-        },
-        truth_path,
-    )
-    print(f"wrote {csv_path} and {truth_path}")
+    truth = {
+        "schema": SCHEMA_VERSION,
+        "model": spec.model,
+        "seed": spec.seed,
+        "length": len(series),
+        "changepoints": list(series.truth or ()),
+    }
+    _commit({
+        csv_path: "".join(f"{float(value)!r}\n" for value in series.values),
+        truth_path: _json(truth),
+        None: f"wrote {csv_path} and {truth_path}\n",
+    })
 
 
 def _cmd_study(args: argparse.Namespace) -> None:
     spec = ModelSpec(args.model, args.seed, args.length, args.rate)
     config = DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
     report = replicate_study(spec, config, reps=args.reps)
-    _write_json(report.to_dict(), args.out)
+    outputs = {args.out or None: _json(report.to_dict())}
     if args.csv:
         row = report.csv_row()
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerow(row)
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+        outputs[args.csv] = table.getvalue()
+    _commit(outputs)
 
 
 def _read_changepoints(path: str, length: int) -> tuple[int, ...]:

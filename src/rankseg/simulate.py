@@ -1,16 +1,20 @@
 """Seeded generators for the benchmark data sequences.
 
-Every model is generated from a single ``numpy.random.default_rng`` (PCG64)
-stream keyed by the seed, drawing segments left to right, so the same
-(model, seed) pair reproduces bit-identical data on any platform running the
-same numpy generation code. The ``*_TR`` models apply ``exp`` elementwise to
-their base model drawn with the same seed.
+A model is its list of segments, each drawn from one distribution, and its
+true change-points are where each segment but the last ends: ``generate``
+concatenates the segments and reads the truth off their cumulative lengths,
+so no model writes a change-point down. The segments are drawn left to right
+from a single ``numpy.random.default_rng`` (PCG64) stream keyed by the seed,
+so the same (model, seed) pair reproduces bit-identical data on any platform
+running the same numpy generation code. The ``*_TR`` models apply ``exp``
+elementwise to their base model drawn with the same seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, cycle
 
 import numpy as np
 
@@ -76,135 +80,108 @@ class ModelSpec:
             object.__setattr__(self, "rate", rate)
 
 
-def _alternating(levels, cps, length) -> np.ndarray:
-    """Piecewise-constant signal over the segments defined by ``cps``."""
-    edges = [0, *cps, length]
-    out = np.empty(length)
-    for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        out[a:b] = levels[i % len(levels)]
-    return out
-
-
-def _mean_plus_gauss(rng, means, cps, length):
-    return _alternating(means, cps, length) + rng.standard_normal(length)
-
-
-def _scaled_gauss(rng, sds, cps, length):
-    return _alternating(sds, cps, length) * rng.standard_normal(length)
-
-
-def _every(step: int, length: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in range(step, length, step))
+def _blocks(levels, step: int, length: int):
+    """``(level, size)`` of each ``step``-point block over ``length`` points, levels cycling."""
+    return zip(cycle(levels), (min(step, length - a) for a in range(0, length, step)))
 
 
 def _gen_nc(rng, spec):
-    return rng.standard_normal(500), ()
+    return [rng.standard_normal(500)]
 
 
 def _gen_m1(rng, spec):
-    return _mean_plus_gauss(rng, [0.0, 1.0], [100], 200), (100,)
+    return [mean + rng.standard_normal(100) for mean in (0.0, 1.0)]
 
 
 def _gen_v1(rng, spec):
-    return _scaled_gauss(rng, [1.0, 2.0], [250], 500), (250,)
+    return [sd * rng.standard_normal(250) for sd in (1.0, 2.0)]
 
 
 def _gen_d1(rng, spec):
     # Uniform(-3, 3) then Student-t3: same mean and variance, different shape.
-    parts = [rng.uniform(-3.0, 3.0, 500), rng.standard_t(3, 500)]
-    return np.concatenate(parts), (500,)
+    return [rng.uniform(-3.0, 3.0, 500), rng.standard_t(3, 500)]
 
 
-_MM_CPS = (100, 200, 300)
 _MM_MEANS = (0.0, 1.0, -0.2, -1.3)
 
 
 def _gen_mm_gauss(rng, spec):
-    return _mean_plus_gauss(rng, _MM_MEANS, _MM_CPS, 400), _MM_CPS
+    return [mean + rng.standard_normal(100) for mean in _MM_MEANS]
 
 
 def _gen_mm_student(rng, spec):
-    signal = _alternating(_MM_MEANS, _MM_CPS, 400)
-    return signal + rng.standard_t(3, 400), _MM_CPS
+    return [mean + rng.standard_t(3, 100) for mean in _MM_MEANS]
 
 
 def _gen_mm_gauss2(rng, spec):
-    cps = _every(80, 1600)
-    return _mean_plus_gauss(rng, [0.0, 2.0], cps, 1600), cps
+    return [mean + rng.standard_normal(size) for mean, size in _blocks((0.0, 2.0), 80, 1600)]
 
 
 def _gen_mm_pois(rng, spec):
     # Poisson(1) noise added as drawn (not mean-centred); rank-based
     # detection is unaffected by the shared offset.
-    signal = _alternating(_MM_MEANS, _MM_CPS, 400)
-    return signal + rng.poisson(1.0, 400), _MM_CPS
+    return [mean + rng.poisson(1.0, 100) for mean in _MM_MEANS]
 
 
 def _gen_mv_gauss(rng, spec):
-    sds = [1.0, 3.0, 1.2, math.sqrt(0.1)]
-    return _scaled_gauss(rng, sds, [150, 350, 500], 600), (150, 350, 500)
+    sds = (1.0, 3.0, 1.2, math.sqrt(0.1))
+    return [sd * rng.standard_normal(size) for sd, size in zip(sds, (150, 200, 150, 100))]
 
 
 def _gen_mv_gauss2(rng, spec):
     sds = [math.sqrt(v) for v in (10.0, 2.0, 0.3, 4.0, 20.0, 2.0)]
-    cps = (200, 350, 550, 700, 900)
-    return _scaled_gauss(rng, sds, cps, 1000), cps
+    sizes = (200, 150, 200, 150, 200, 100)
+    return [sd * rng.standard_normal(size) for sd, size in zip(sds, sizes)]
 
 
 def _gen_md1(rng, spec):
     # Three distributions sharing mean 1 and variance 1.
-    parts = [
+    return [
         rng.gamma(1.0, 1.0, 250),
         rng.poisson(1.0, 250).astype(float),
         rng.uniform(1.0 - _SQRT3, 1.0 + _SQRT3, 250),
     ]
-    return np.concatenate(parts), (250, 500)
 
 
 def _gen_md2(rng, spec):
-    parts = [
+    return [
         rng.standard_normal(100),
         rng.chisquare(1, 150),
         rng.standard_t(3, 100),
         rng.standard_normal(150) + 1.0,
     ]
-    return np.concatenate(parts), (100, 250, 350)
 
 
 def _gen_md3(rng, spec):
-    parts = [
+    return [
         rng.gamma(1.0, 1.0, 200),
         rng.chisquare(3, 300),
         rng.standard_normal(250) + 0.5,
         rng.standard_t(5, 250),
     ]
-    return np.concatenate(parts), (200, 500, 750)
 
 
 def _gen_t1(rng, spec):
-    length = spec.length or 3000
-    cps = _every(30, length)
-    signal = _alternating([0.0, 4.0], cps, length)
-    return signal + 0.5 * rng.standard_normal(length), cps
+    blocks = _blocks((0.0, 4.0), 30, spec.length or 3000)
+    return [level + 0.5 * rng.standard_normal(size) for level, size in blocks]
 
 
 def _gen_t2(rng, spec):
-    length = spec.length or 3000
-    cps = _every(250, length)
-    return _scaled_gauss(rng, [1.0, 2.0], cps, length), cps
+    blocks = _blocks((1.0, 2.0), 250, spec.length or 3000)
+    return [sd * rng.standard_normal(size) for sd, size in blocks]
 
 
 def _gen_nochange_gauss(rng, spec):
-    return rng.standard_normal(spec.length or 500), ()
+    return [rng.standard_normal(spec.length or 500)]
 
 
 def _gen_nochange_cauchy(rng, spec):
-    return rng.standard_cauchy(spec.length or 500), ()
+    return [rng.standard_cauchy(spec.length or 500)]
 
 
 def _gen_nochange_pois(rng, spec):
     rate = 3.0 if spec.rate is None else spec.rate
-    return rng.poisson(rate, spec.length or 500).astype(float), ()
+    return [rng.poisson(rate, spec.length or 500).astype(float)]
 
 
 _GENERATORS = {
@@ -251,12 +228,13 @@ def generate(spec: ModelSpec) -> Series:
     Returns
     -------
     Series
-        Values plus the model's true change-point positions.
+        The model's segments end to end, with the end of every segment but
+        the last as the true change-point positions.
     """
     if spec.model in _TRANSFORMED:
         base = generate(ModelSpec(_TRANSFORMED[spec.model], spec.seed))
         return Series(np.exp(base.values), base.truth)
-    rng = np.random.default_rng(spec.seed)
-    values, truth = _GENERATORS[spec.model](rng, spec)
-    return Series(values, tuple(truth))
+    segments = _GENERATORS[spec.model](np.random.default_rng(spec.seed), spec)
+    ends = tuple(accumulate(map(len, segments)))
+    return Series(np.concatenate(segments), ends[:-1])
 

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -516,7 +518,7 @@ class TestDetectJson:
 
 
 class TestOutputErrors:
-    """Outputs are written after the work; a failure to write one is an error line."""
+    """Outputs are written after the work, all or none; a failure to write one is an error line."""
 
     @pytest.mark.parametrize(
         "command",
@@ -536,6 +538,63 @@ class TestOutputErrors:
         assert code == 1
         assert err.startswith("rankseg: error:") and err.count("\n") == 1
         assert str(missing) in err
+
+    def test_failed_study_leaves_report_and_stdout_alone(self, tmp_path, capsys):
+        # the report was once written, or printed, before the CSV failed
+        report = tmp_path / "r.json"
+        report.write_bytes(b"earlier report\n")
+        missing_csv = str(tmp_path / "missing" / "x.csv")
+        for out in (["--out", str(report)], []):
+            code, out_text, err = run(capsys, "study", "--model", "M1", "--reps", "1",
+                                      *out, "--csv", missing_csv)
+            assert code == 1
+            assert out_text == ""
+            # the error names the CSV, not its temporary file
+            assert err == f"rankseg: error: [Errno 2] No such file or directory: {missing_csv!r}\n"
+            assert report.read_bytes() == b"earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+    def test_failed_simulate_leaves_csv_and_stdout_alone(self, tmp_path, capsys):
+        # the CSV was once rewritten before the truth file failed
+        (tmp_path / "p.csv").write_bytes(b"1.0\n2.0\n")
+        (tmp_path / "p.truth.json").mkdir()
+        code, out, err = run(capsys, "simulate", "--model", "M1", "--out", str(tmp_path / "p"))
+        assert code == 1
+        assert out == ""
+        assert str(tmp_path / "p.truth.json") in err
+        assert (tmp_path / "p.csv").read_bytes() == b"1.0\n2.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p.truth.json"]
+
+    def test_symlinked_out_updates_the_file_it_names(self, tmp_path, capsys):
+        # staging once replaced the link itself with a regular file
+        write_series(tmp_path / "x.csv", np.arange(50.0))
+        real = tmp_path / "real.json"
+        real.write_bytes(b"earlier\n")
+        real.chmod(0o600)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, out, _ = run(capsys, "detect", str(tmp_path / "x.csv"), "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and link.resolve() == real
+        assert "changepoints" in json.loads(real.read_text())
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json", "x.csv"]
+
+    def test_pipe_out_is_written_through(self, tmp_path, capsys):
+        # a target that is not a regular file (a pipe, /dev/null) was once
+        # replaced by one
+        write_series(tmp_path / "x.csv", np.arange(50.0))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "detect", str(tmp_path / "x.csv"), "--out", str(pipe))
+        reader.join(timeout=30)
+        assert (code, out) == (0, "")
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert "changepoints" in json.loads(received[0])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "x.csv"]
 
     def test_closed_stdout_exit_1_quietly(self):
         # writing to a pipe nobody reads once ended in a BrokenPipeError traceback

@@ -149,6 +149,18 @@ class TestWindowBounds:
         assert _window_bounds(2500, 2000) == [(0, 2500)]
         assert _window_bounds(4500, 2000) == [(0, 2000), (2000, 4500)]
 
+    def test_one_point_window_scans_nothing(self):
+        # a one-point tail window has no split, so it adds no interval and no change
+        values = np.array([0.0, 5.0, 1.0, 6.0, 2.0])
+        config = replace(THRESHOLD, split=2)
+        assert _window_bounds(5, 2) == [(0, 2), (2, 4), (4, 5)]
+        windows = [detect(values[lo:hi], replace(config, split=None)) for lo, hi in ((0, 2), (2, 4))]
+        result = detect(values, config)
+        assert result.intervals_evaluated == sum(w.intervals_evaluated for w in windows) > 0
+        assert result.changepoints == tuple(
+            c + lo for w, lo in zip(windows, (0, 2)) for c in w.changepoints
+        )
+
 
 class TestSegmentation:
     def test_stores_checked_positions(self):

@@ -200,3 +200,11 @@ class TestReplicateStudy:
         report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=4)
         buckets = report.frequency_buckets()
         assert sum(buckets.values()) == 4
+
+    def test_bucket_clamping_of_large_errors(self):
+        errors = (-5, -2, -2, -1, 0, 0, 0, 1, 2, 3, 7)
+        replications = tuple(
+            Replication(seed, (), n_error, None, 0.0) for seed, n_error in enumerate(errors)
+        )
+        report = StudyReport(ModelSpec("M1", 0), DetectorConfig(), replications)
+        assert report.frequency_buckets() == {"<=-2": 3, "-1": 1, "0": 3, "1": 1, ">=2": 3}

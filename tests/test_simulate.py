@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -246,3 +247,69 @@ class TestParseModel:
         # M1 with length=600 once generated its fixed 200 points
         with pytest.raises(ValueError, match=model):
             ModelSpec(model, 0, **size)
+
+
+# SHA-256 of ``values.tobytes()`` and the truth of each model at seed 0, computed
+# with numpy 2.4; the (model, size) key is the ``ModelSpec`` less its seed.
+CATALOGUE = {
+    ("D1", ()): ("cddeaa13c8d4682c1c3c62cb725a5b2b919e63bfa664d92fd9a67f11043e7baf", (500,)),
+    ("M1", ()): ("1b5b60b873c597931c495805a649b4c8aae32fe92698bd06430ff18694d52540", (100,)),
+    ("MD1", ()): ("24662b124065811710f38b7f4ae4865d95d6c021527584be8f43511215e01f46", (250, 500)),
+    ("MD2", ()): ("6cbc2c1a44e12ea76c3a214ee0139dc04fd75fc9a66310e12bd8391e0911966f",
+                  (100, 250, 350)),
+    ("MD3", ()): ("a1269a33a1311c27076cc547cc8ece28c526af076a403696c3df2e738cc05b8c",
+                  (200, 500, 750)),
+    ("MM_GAUSS", ()): ("9d3b722896f41eed2c411918dc2675221a0acf63ab1fe0ea873646c28aaa43a8",
+                       (100, 200, 300)),
+    ("MM_GAUSS2", ()): ("2d00ebb574b5123f5fb5c8f127ebf0c026cab4ee397a8187eabad0f29d561c96",
+                        tuple(range(80, 1600, 80))),
+    ("MM_GAUSS_TR", ()): ("24cd687da44a83fe36580b6b1b0c8929df2481f4e10071a9d14f43e1ef27e75b",
+                          (100, 200, 300)),
+    ("MM_POIS", ()): ("04a454a10c0a259be0be699909386a5edd7054ec956da70c40408659ce0be611",
+                      (100, 200, 300)),
+    ("MM_POIS_TR", ()): ("f6cd88e286a75e1fa33d364ed5eaecc03ff0d6a003d64bb361ac4835ff0d005c",
+                         (100, 200, 300)),
+    ("MM_STUDENT_T3", ()): ("4fd2fcef3112348756b7e9f96ac2707eae3fd80fa9df511688dc441b22a97557",
+                            (100, 200, 300)),
+    ("MV_GAUSS", ()): ("cf9ee9d8b3b58d58f188472b92e2b919b015e6d55611626c610f777ece10ca48",
+                       (150, 350, 500)),
+    ("MV_GAUSS2", ()): ("e822efce4237a37f30885731ad2ece2e2066966f75ae7da8f420d4a978930cec",
+                        (200, 350, 550, 700, 900)),
+    ("NC", ()): ("7bb34faaa0d6f1d506b9b453a6c57f217feeec606c8d1487f097e5bed1d3d634", ()),
+    ("NOCHANGE_CAUCHY", ()): ("e646a314ca8c1eec81237cf8717f74f471d810468841e35735719e8d8b73f302",
+                              ()),
+    ("NOCHANGE_GAUSS", ()): ("7bb34faaa0d6f1d506b9b453a6c57f217feeec606c8d1487f097e5bed1d3d634",
+                             ()),
+    ("NOCHANGE_POIS", ()): ("492fb308902ab5972184323542df8b7fe0f4f9b98be0e0d6aedf1070aea8e367",
+                            ()),
+    ("T1", ()): ("e47b6289ebe889b0017a10b0c66e5bba6e3cec9cf35525cca2c0b64ad1ab011e",
+                 tuple(range(30, 3000, 30))),
+    ("T2", ()): ("7f9f73eccb2fe8611c31c563ea34c0a2d1001f3b27172edae6223e01184496c3",
+                 tuple(range(250, 3000, 250))),
+    ("V1", ()): ("99fe52d46bf0e95b08f6c1dfbb3265388a168c1161ad7a5da526c3e31e249e56", (250,)),
+    ("T1", (("length", 61),)): (
+        "839ae5e2c90a35275c6eed301d7c118b09cf5a4855adc8388780533b8fc32401", (30, 60)),
+    ("T2", (("length", 501),)): (
+        "043dd18d73ee7e109b8b0895f9a41785f48cb4cf5d3f4b52ec9b5ff041ab60e0", (250, 500)),
+    ("NOCHANGE_GAUSS", (("length", 50),)): (
+        "341f74e66a873c61ecda3752d36c332c66bb4a521d010f37e0f7bdcd37f1f527", ()),
+    ("NOCHANGE_CAUCHY", (("length", 50),)): (
+        "395e0ced4a272a0f6463145d0f6e5e13efcd945ff3c325d5bf2925e7980340fd", ()),
+    ("NOCHANGE_POIS", (("length", 50), ("rate", 0.3))): (
+        "d1e69f81868ba5c573af40d76770239b1e57503ae54fd79a165ee29a6ea34d7e", ()),
+}
+
+
+def test_catalogue_is_stable():
+    assert {model for model, size in CATALOGUE if not size} == set(list_models())
+    moved = []
+    for (model, size), (digest, truth) in CATALOGUE.items():
+        series = generate(ModelSpec(model, 0, **dict(size)))
+        got = (hashlib.sha256(series.values.tobytes()).hexdigest(), series.truth)
+        if got != (digest, truth):
+            moved.append(f"{model}{dict(size) or ''}")
+    assert not moved, (
+        f"seed-0 data or truth moved for {', '.join(moved)} (numpy {np.__version__}). "
+        "If a numpy release changed a Generator stream, every seeded series moves, "
+        "and the work counters pinned in bench/test_counters.py move with it."
+    )
