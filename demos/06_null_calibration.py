@@ -16,7 +16,10 @@ false-alarms on at most 5% of the reps.
 Every statistic reads ranks only, so on continuous data S has one law for
 every noise distribution: that of a uniform random permutation. The rows use
 N(0, 1) data (``NOCHANGE_GAUSS``). Tied data (``NOCHANGE_POIS``, rate 3) fall
-outside that law and are reported on their own rows. Rep i uses seed i.
+outside that law and are reported on their own rows. Like the scan, each
+window's table keeps one column per distinct indicator, weighted by its
+multiplicity under ``l1`` and ``l2``, so a Poisson rep costs what the scan
+costs. Rep i uses seed i.
 
 The default run takes seconds (50 reps at T = 30 and 200). The study behind
 the library's defaults, about 55 minutes on one core, is
@@ -25,7 +28,10 @@ the library's defaults, about 55 minutes on one core, is
         --lengths 30 50 100 200 500 1000 2000 6000 --pois-lengths 200 1000
 
 Each row depends only on its data, length and reps, so the rows may also be
-run in separate processes.
+run in separate processes. The 2000-rep Poisson rows in the README are
+
+    python demos/06_null_calibration.py --reps 2000 --lengths \
+        --pois-lengths 200 1000 2000
 """
 
 import argparse
@@ -44,6 +50,7 @@ from rankseg import (
     norm_value,
     threshold,
 )
+from rankseg.contrast import _distinct_levels
 from rankseg.detector import DEFAULT_CONSTANTS, _window_bounds
 
 CONFIG = DetectorConfig()
@@ -60,13 +67,14 @@ def null_statistic(series: Series) -> dict[Norm, float]:
     stat = dict.fromkeys(NORMS, 0.0)
     for window in windows(series):
         T = len(window)
-        table = CusumTable(window, CONFIG.eval_points_for(window))
+        points, counts = _distinct_levels(window, CONFIG.eval_points_for(window))
+        table = CusumTable(window, points)
         scale = threshold(1.0, T)
         first_pass = interval_sequences(1, T, CONFIG.expansion_step, T)
         for s, e in {(s, e) for s, e, _ in first_pass}:
             matrix = table.profile_matrix(s, e)
             for kind in NORMS:
-                stat[kind] = max(stat[kind], float(norm_value(kind, matrix).max()) / scale)
+                stat[kind] = max(stat[kind], float(norm_value(kind, matrix, counts).max()) / scale)
     return stat
 
 

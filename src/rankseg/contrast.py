@@ -10,13 +10,21 @@ length.
 - ``EvalPoints`` holds the levels ``k`` at which the indicators are taken;
   ``grid_points`` picks ``q`` equally spaced levels, which for ``q = T`` are
   all the order statistics ``1..T``.
+- ``_distinct_levels`` compresses ties: level ``k`` has the indicator column
+  of the largest rank present that is ``<= k``, so on tied data many levels
+  share one column. It keeps one level per distinct column with its
+  multiplicity, and returns the set unchanged when all columns differ, as
+  on continuous data. The scan and the solution path build their tables on
+  the kept levels; their byte guards still use the configured Q, so whether
+  a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels.
   Its one kernel turns two prefix lookups into the weighted two-sample ECDF
   contrast; ``profile_matrix`` (every split of an interval) and ``row`` (one
   split) are two row ranges of it. ``indicator_sd`` is the per-level rescale
   deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
-  along the last axis and ``norm_value`` is its validated public form.
+  along the last axis, weighting columns by their multiplicities when given,
+  and ``norm_value`` is its validated public form.
 """
 
 from __future__ import annotations
@@ -205,6 +213,30 @@ def grid_points(series: Series, q: int) -> EvalPoints:
     return EvalPoints(k, FULL if q == T else GRID)
 
 
+def _distinct_levels(
+    series: Series, eval_points: EvalPoints
+) -> tuple[EvalPoints, np.ndarray | None]:
+    """The levels with distinct indicator columns and the multiplicity of each.
+
+    Level ``k`` has the column ``1{r_t <= f(k)}`` of ``f(k)``, the largest
+    rank present that is ``<= k`` (0 below them all), so levels with equal
+    ``f`` share one column. Returns ``eval_points`` itself and ``None`` when
+    every column is distinct, as on data without ties; otherwise the levels
+    ``f(k)`` once each, in the same mode, and how many levels each stands
+    for (the multiplicities sum to Q). O(T + Q) with no sort; the levels
+    must be at most T.
+    """
+    r, k = series.ranks, eval_points.levels
+    present = np.bincount(r, minlength=r.size + 1) > 0
+    if not present[1:].all():  # ties: map each level to its f(k)
+        k = np.maximum.accumulate(np.where(present, np.arange(r.size + 1), 0))[k]
+    new = k[1:] > k[:-1]
+    if new.all():
+        return eval_points, None
+    starts = np.flatnonzero(np.r_[True, new])
+    return EvalPoints(k[starts], eval_points.mode), np.diff(np.r_[starts, k.size])
+
+
 class CusumTable:
     """Prefix indicator counts for one series against a fixed evaluation set.
 
@@ -303,29 +335,46 @@ class Norm(str, Enum):
     LINF = "linf"
 
 
-def _profile_norms(matrix: np.ndarray, kind: Norm) -> np.ndarray:
+def _profile_norms(
+    matrix: np.ndarray, kind: Norm, counts: np.ndarray | None = None
+) -> np.ndarray:
     """The norm of each vector along the last axis of ``matrix``.
 
     ``l1`` is the mean of absolute values, ``l2`` the root mean square and
     ``linf`` the maximum absolute value, each normalised by the length of
-    that axis.
+    that axis. ``counts``, when given, is the multiplicity of each column
+    (from ``_distinct_levels``): ``l1`` and ``l2`` weight each column's term
+    by it over the total Q, so a compressed row has the norm of the full
+    one. ``linf`` ignores it, since a maximum over repeated columns is the
+    same maximum.
     """
-    if kind is Norm.L1:
-        return np.abs(matrix).mean(axis=-1)
-    if kind is Norm.L2:
-        return np.sqrt(np.square(matrix).mean(axis=-1))
-    return np.abs(matrix).max(axis=-1)
+    if kind is Norm.LINF:
+        return np.abs(matrix).max(axis=-1)
+    terms = np.abs(matrix) if kind is Norm.L1 else np.square(matrix)
+    mean = terms.mean(axis=-1) if counts is None else terms @ counts / counts.sum()
+    return mean if kind is Norm.L1 else np.sqrt(mean)
 
 
-def norm_value(kind: Norm, y):
+def norm_value(kind: Norm, y, counts=None):
     """Validated :func:`_profile_norms`: a float for a vector, else an array.
 
     ``kind`` may be a ``Norm`` or its string value; an empty input raises
     ``ValueError``. For a matrix of contrast rows (such as
     :meth:`CusumTable.profile_matrix`) it returns the norm of every row.
+    ``counts`` optionally gives each column's multiplicity, one positive
+    integer per column: ``l1`` and ``l2`` then weight the columns by it and
+    ``linf`` ignores it.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("norm of an empty vector is undefined")
-    out = _profile_norms(y, Norm(kind))
+    if counts is not None:
+        counts = np.asarray(counts)
+        if (
+            counts.shape != y.shape[-1:]
+            or not np.issubdtype(counts.dtype, np.integer)
+            or np.any(counts < 1)
+        ):
+            raise ValueError("counts must hold one positive integer per column")
+    out = _profile_norms(y, Norm(kind), counts)
     return float(out) if out.ndim == 0 else out

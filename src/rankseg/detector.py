@@ -26,6 +26,7 @@ from .contrast import (
     _check_int,
     _check_positions,
     _check_real,
+    _distinct_levels,
     _profile_norms,
     as_series,
     grid_points,
@@ -261,6 +262,8 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     eval_points = config.eval_points_for(series)
     Q = len(eval_points)  # the full-interval profile is the scan's largest
     _check_bytes("a scan profile", T, Q, (T - 1) * Q * 8)
+    # compress tied columns after the guard, so raising depends on T and Q only
+    eval_points, counts = _distinct_levels(series, eval_points)
     table = CusumTable(series, eval_points)
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm
@@ -276,7 +279,7 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
             # built stops the allocator from returning and re-faulting its
             # pages on every interval (a T = 1000 scan ran 40% slower without)
             matrix = table.profile_matrix(ss, ee)
-            profile = _profile_norms(matrix, kind)
+            profile = _profile_norms(matrix, kind, counts)
             k = int(np.argmax(profile))
             score = float(profile[k])
             if score > zeta:

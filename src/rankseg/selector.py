@@ -15,7 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrast import CusumTable, Norm, _check_positions, as_series, norm_value
+from .contrast import (
+    CusumTable,
+    Norm,
+    _check_bytes,
+    _check_positions,
+    _distinct_levels,
+    as_series,
+    norm_value,
+)
 from .detector import DetectorConfig, Segmentation, StopRule, _config, detect
 
 __all__ = [
@@ -82,6 +90,9 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     vector over the interval spanned by its two current neighbours (with
     sentinels 0 and T), at the levels ``config.eval_points_for(series)``;
     under ``linf`` each level is divided by its indicator standard deviation.
+    The table keeps one column per distinct indicator (``_distinct_levels``),
+    and ``l1``/``l2`` weight each by its multiplicity; its byte guard uses
+    the configured number of levels.
     The lowest-scoring candidate is removed and only its former neighbours
     are re-scored, which leaves every other triplet untouched. The returned
     ordering lists the last-removed candidate first. On the candidates
@@ -95,14 +106,18 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
         return SolutionPath((), ())
 
     kind = config.norm
-    table = CusumTable(series, config.eval_points_for(series))
+    eval_points = config.eval_points_for(series)
+    Q = len(eval_points)
+    _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
+    eval_points, counts = _distinct_levels(series, eval_points)
+    table = CusumTable(series, eval_points)
     sd = table.indicator_sd if kind is Norm.LINF else None
 
     def triplet_score(prev: int, cur: int, nxt: int) -> float:
         row = table.row(prev + 1, nxt, cur)
         if sd is not None:
             row = row / sd
-        return norm_value(kind, row)
+        return norm_value(kind, row, counts)
 
     def rescore(idx: int) -> float:
         prev = work[idx - 1] if idx > 0 else 0

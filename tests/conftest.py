@@ -136,3 +136,97 @@ def random_series(rng, max_len=300, min_len=5, ties=False):
     if ties:
         return rng.integers(0, 6, n).astype(float)
     return rng.standard_normal(n)
+
+
+def plain_norm(kind, matrix):
+    """Plain mean, root mean square or maximum of ``|matrix|`` along the last axis."""
+    a = np.abs(np.asarray(matrix, dtype=float))
+    if kind == "l1":
+        return a.mean(axis=-1)
+    if kind == "l2":
+        return np.sqrt(np.square(a).mean(axis=-1))
+    return a.max(axis=-1)
+
+
+def uncompressed_path(table, candidates, kind):
+    """Weakest-triplet removal on ``table`` with plain norms; a ``SolutionPath``."""
+    from rankseg import SolutionPath
+
+    sd = table.indicator_sd if kind == "linf" else None
+    work = list(candidates)
+
+    def score(i):
+        prev = work[i - 1] if i > 0 else 0
+        nxt = work[i + 1] if i + 1 < len(work) else table.length
+        row = table.row(prev + 1, nxt, work[i])
+        return float(plain_norm(kind, row if sd is None else row / sd))
+
+    scores = [score(i) for i in range(len(work))]
+    removed, removed_scores = [], []
+    while work:
+        m = int(np.argmin(scores))
+        removed.append(work.pop(m))
+        removed_scores.append(scores.pop(m))
+        for i in (m - 1, m):
+            if 0 <= i < len(work):
+                scores[i] = score(i)
+    return SolutionPath(tuple(reversed(removed)), tuple(reversed(removed_scores)))
+
+
+def uncompressed_segment(series, config):
+    """``segment`` on one window, rebuilt on the full-Q table with plain norms.
+
+    Every configured level keeps its own column, repeated or not, so this is
+    the reference for tie compression. The criterion is the library's
+    ``bic_select``, which reads the ranks directly and no table.
+    """
+    from rankseg import (
+        CusumTable,
+        Segmentation,
+        StopRule,
+        as_series,
+        bic_select,
+        interval_sequences,
+        threshold,
+    )
+    from rankseg.selector import OVERESTIMATE_FACTOR
+
+    series = as_series(series)
+    T = len(series)
+    assert config.split is None or T <= config.split, "one window only"
+    table = CusumTable(series, config.eval_points_for(series))
+    kind = config.norm.value
+
+    def scan(constant):
+        found, n_scanned = {}, 0
+        s, e = 1, T
+        while e - s >= 1:
+            for ss, ee, side in interval_sequences(s, e, config.expansion_step, T):
+                n_scanned += 1
+                profile = plain_norm(kind, table.profile_matrix(ss, ee))
+                k = int(np.argmax(profile))
+                if profile[k] > threshold(constant, T):
+                    found.setdefault(ss + k, float(profile[k]))
+                    s, e = (ee, e) if side == "right" else (s, ss)
+                    break
+            else:
+                break
+        return found, n_scanned
+
+    if config.stop is StopRule.THRESHOLD:
+        found, n_scanned = scan(config.resolved_constant())
+        cps = tuple(sorted(found))
+        return Segmentation(cps, tuple(found[c] for c in cps), config, T, n_scanned)
+    found, n_scanned = scan(OVERESTIMATE_FACTOR * config.resolved_constant())
+    path = uncompressed_path(table, sorted(found), kind)
+    choice = bic_select(series, path)
+    score_of = dict(zip(path.ordered, path.removal_scores))
+    return Segmentation(
+        choice.changepoints,
+        tuple(score_of[c] for c in choice.changepoints),
+        config,
+        T,
+        n_scanned,
+        path=path,
+        bic=choice,
+    )

@@ -490,9 +490,11 @@ class TestProfileBudget:
 
     BUDGET = 6 * 2**20
 
-    def test_profile_over_budget_raises(self, monkeypatch):
+    @pytest.mark.parametrize("model", ["NOCHANGE_GAUSS", "NOCHANGE_POIS"])
+    def test_profile_over_budget_raises(self, monkeypatch, model):
+        # tied Poisson data keep 11 distinct columns, but the guard reads Q
         monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", self.BUDGET)
-        x = generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))
+        x = generate(ModelSpec(model, 0, length=1000))
         assert CusumTable(x, grid_points(x, 1000)).prefix.shape == (1001, 1000)
         message = "a scan profile for T=1000 and Q=1000 levels needs 8 MiB, over the 6 MiB limit"
         for stop in ("threshold", "bic"):
