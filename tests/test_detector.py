@@ -490,9 +490,7 @@ class TestProfileBudget:
 
     BUDGET = 6 * 2**20
 
-    @pytest.mark.parametrize("model", ["NOCHANGE_GAUSS", "NOCHANGE_POIS"])
-    def test_profile_over_budget_raises(self, monkeypatch, model):
-        # tied Poisson data keep 11 distinct columns, but the guard reads Q
+    def _assert_profile_over_budget(self, monkeypatch, model):
         monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", self.BUDGET)
         x = generate(ModelSpec(model, 0, length=1000))
         assert CusumTable(x, grid_points(x, 1000)).prefix.shape == (1001, 1000)
@@ -501,6 +499,13 @@ class TestProfileBudget:
             with pytest.raises(ValueError, match=message):
                 detect(x, DetectorConfig(grid="full", stop=stop))
         assert detect(x, DetectorConfig(grid=500)).length == 1000
+
+    def test_profile_over_budget_raises(self, monkeypatch):
+        self._assert_profile_over_budget(monkeypatch, "NOCHANGE_GAUSS")
+
+    def test_tied_profile_over_budget_raises(self, monkeypatch):
+        # tied Poisson data keep 11 distinct columns, but the guard reads Q
+        self._assert_profile_over_budget(monkeypatch, "NOCHANGE_POIS")
 
     def test_profile_bound_is_per_window(self, monkeypatch):
         # split windows of 1000 fit where the unsplit 2000-point scan does not
