@@ -19,7 +19,8 @@ length.
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels.
   Its one kernel turns two prefix lookups into the weighted two-sample ECDF
-  contrast; ``profile_matrix`` (every split of an interval) and ``row`` (one
+  contrast, an exact integer numerator scaled by one float per split;
+  ``profile_matrix`` (every split of an interval) and ``row`` (one
   split) are two row ranges of it. ``indicator_sd`` is the per-level rescale
   deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
@@ -188,11 +189,15 @@ class EvalPoints:
             raise ValueError("evaluation levels must be a nonempty 1-d sequence")
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError(f"evaluation levels must be integers, got {levels.dtype}")
+        # check before the cast: uint64 levels above 2**63 - 1 would wrap negative
+        if levels.max() > np.iinfo(np.int64).max:
+            raise ValueError("evaluation levels must fit in a 64-bit signed integer")
+        levels = levels.astype(np.int64, copy=False)
         if levels[0] < 0 or np.any(np.diff(levels) < 0):
             raise ValueError("evaluation levels must be >= 0 and sorted ascending")
         if self.mode not in (FULL, GRID):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
-        object.__setattr__(self, "levels", levels.astype(np.int64, copy=False))
+        object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return int(self.levels.size)
@@ -291,20 +296,26 @@ class CusumTable:
         Row ``b`` is, at every evaluation level ``k``::
 
             sqrt(n1 * n2 / n) * (F_pre(x_(k)) - F_post(x_(k)))
+                = (c * n - n1 * t) / sqrt(n1 * n2 * n)
 
-        with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1`` and
-        ``F_pre``, ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``.
-        The weight times the ECDF difference lets equal segment ECDFs cancel
-        to a hard zero.
+        with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1``, ``F_pre``,
+        ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``, ``c`` the
+        count of ``X_s..X_b`` at level ``k`` and ``t`` that of the interval.
+        The numerator is computed exactly in integers: int32 while
+        ``n * (n - 1)``, which bounds ``c * n`` and ``n1 * t``, fits, and int64
+        for windows longer than 46,341. One float factor per row then scales
+        it into the float64 result. Equal segment ECDFs give an integer 0 and
+        so a hard ``0.0``.
         """
+        n = e - s + 1
+        dtype = np.int32 if n * (n - 1) < 2**31 else np.int64
         base = self.prefix[s - 1]
-        counts = self.prefix[lo:hi] - base
-        total = self.prefix[e] - base
-        n = float(e - s + 1)
-        n1 = np.arange(lo - s + 1.0, hi - s + 1.0)
-        n2 = n - n1
-        weight = np.sqrt(n1 * n2 / n)
-        return weight[:, None] * (counts / n1[:, None] - (total - counts) / n2[:, None])
+        numerator = np.subtract(self.prefix[lo:hi], base, dtype=dtype)
+        numerator *= n
+        n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
+        numerator -= n1[:, None] * np.subtract(self.prefix[e], base, dtype=dtype)
+        factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
+        return numerator * factor[:, None]
 
     def profile_matrix(self, s: int, e: int) -> np.ndarray:
         """CUSUM values for every candidate ``b`` in ``[s, e)``.

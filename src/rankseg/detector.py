@@ -277,7 +277,7 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
             n_scanned += 1
             # keep the name: holding the previous matrix while the next is
             # built stops the allocator from returning and re-faulting its
-            # pages on every interval (a T = 1000 scan ran 40% slower without)
+            # pages on every interval (a T = 1000 scan ran 29% slower without)
             matrix = table.profile_matrix(ss, ee)
             profile = _profile_norms(matrix, kind, counts)
             k = int(np.argmax(profile))

@@ -16,6 +16,22 @@ def naive_cusum(values, s, e, b, u):
     return math.sqrt(n2 / (n1 * n)) * pre - math.sqrt(n1 / (n2 * n)) * post
 
 
+def float_contrast(prefix, s, e, lo, hi):
+    """Contrast rows of ``[s, e]`` for the splits in ``[lo, hi)``, in floats.
+
+    The weight ``sqrt(n1 * n2 / n)`` times the difference of the segment
+    ECDFs, each a float division of the prefix counts ``prefix``.
+    """
+    base = prefix[s - 1]
+    counts = prefix[lo:hi] - base
+    total = prefix[e] - base
+    n = float(e - s + 1)
+    n1 = np.arange(lo - s + 1.0, hi - s + 1.0)
+    n2 = n - n1
+    weight = np.sqrt(n1 * n2 / n)
+    return weight[:, None] * (counts / n1[:, None] - (total - counts) / n2[:, None])
+
+
 def ecdf(sample, u):
     """Empirical CDF of ``sample`` at ``u``: the fraction of values <= u."""
     if len(sample) == 0:

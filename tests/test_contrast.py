@@ -19,6 +19,7 @@ from rankseg import (
 
 from conftest import (
     ecdf,
+    float_contrast,
     levels_of,
     naive_cusum,
     naive_norm,
@@ -292,6 +293,17 @@ class TestEvalPoints:
         ep = EvalPoints([0, 2, 2, 5], "grid")
         assert ep.levels.tolist() == [0, 2, 2, 5] and len(ep) == 4
 
+    def test_unsigned_levels_checked_as_numbers(self):
+        # a uint64 level above 2**63 - 1 must not wrap to a negative int64,
+        # and a uint64 difference must not wrap to a huge positive one
+        with pytest.raises(ValueError, match="64-bit"):
+            EvalPoints(np.array([1, 2**63], dtype=np.uint64), "grid")
+        with pytest.raises(ValueError, match="sorted"):
+            EvalPoints(np.array([2, 1], dtype=np.uint64), "grid")
+        ep = EvalPoints(np.array([0, 3, 5], dtype=np.uint64), "grid")
+        assert ep.levels.dtype == np.int64 and ep.levels.tolist() == [0, 3, 5]
+        assert CusumTable(np.arange(5.0), ep).prefix[-1].tolist() == [0, 3, 5]
+
 
 class TestCusumTable:
     def test_profile_matches_naive_rows(self, rng):
@@ -318,6 +330,47 @@ class TestCusumTable:
         for b in (s, (s + e) // 2, e - 1):
             # one kernel: the row is bit-identical to the matrix row
             assert np.array_equal(table.row(s, e, b), matrix[b - s])
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("q", [7, "T"])
+    def test_matches_float_oracle(self, rng, ties, q):
+        # the integer numerator and one factor per row reproduce the float
+        # formula, and a float zero (equal segment ECDFs) stays a hard zero
+        zeros = 0
+        for _ in range(20):
+            x = random_series(rng, ties=ties)
+            n = len(x)
+            table = CusumTable(x, grid_points(x, n if q == "T" else q))
+            s = int(rng.integers(1, n))
+            e = int(rng.integers(s + 1, n + 1))
+            want = float_contrast(table.prefix, s, e, s, e)
+            got = table.profile_matrix(s, e)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.all(got[want == 0] == 0.0)
+            zeros += int(np.count_nonzero(want == 0))
+            b = int(rng.integers(s, e))
+            row = table.row(s, e, b)
+            np.testing.assert_allclose(
+                row, float_contrast(table.prefix, s, e, b, b + 1)[0], rtol=1e-12, atol=1e-12
+            )
+            assert np.array_equal(row, got[b - s])
+        assert zeros > 0
+
+    def test_long_window_uses_wide_integers(self):
+        # the numerator c * n - n1 * t equals n1 * n2 * (F_pre - F_post), so
+        # an int32 wrap of c * n cancels unless the result itself leaves
+        # int32: on this increasing series the middle row at level T / 2 is
+        # n1 * n2 = 2.5e9, past 2**31 - 1
+        T = 100_000
+        x = np.arange(T, dtype=float)
+        table = CusumTable(x, EvalPoints([1, T // 2, T - 1], "grid"))
+        got = table.profile_matrix(1, T)
+        assert got.shape == (T - 1, 3)
+        assert got[T // 2 - 1, 1] == pytest.approx(math.sqrt(T) / 2, rel=1e-12)
+        for b in (1, T // 2, T - 1):
+            want = float_contrast(table.prefix, 1, T, b, b + 1)[0]
+            np.testing.assert_allclose(got[b - 1], want, rtol=1e-12, atol=1e-12)
 
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))
