@@ -19,10 +19,12 @@ length.
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels.
   Its one kernel turns two prefix lookups into the weighted two-sample ECDF
-  contrast, an exact integer numerator scaled by one float per split;
-  ``profile_matrix`` (every split of an interval) and ``row`` (one
-  split) are two row ranges of it. ``indicator_sd`` is the per-level rescale
-  deviation, read off the table's column totals.
+  contrast, an exact integer numerator scaled by one float per split, and
+  fills the float64 result in blocks of rows of at most 256 KiB of
+  integers, so its temporaries stay in cache. ``profile_matrix`` (every
+  split of an interval) and ``row`` (one split) are two row ranges of it.
+  ``indicator_sd`` is the per-level rescale deviation, read off the table's
+  column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
   along the last axis, weighting columns by their multiplicities when given,
   and ``norm_value`` is its validated public form.
@@ -255,6 +257,7 @@ class CusumTable:
     """
 
     _BLOCK = 512  # columns per cumsum pass, bounds the boolean scratch
+    _ROW_BYTES = 2**18  # integer numerator bytes per row block of the kernel
 
     def __init__(self, series, eval_points: EvalPoints):
         series = as_series(series)
@@ -306,16 +309,32 @@ class CusumTable:
         for windows longer than 46,341. One float factor per row then scales
         it into the float64 result. Equal segment ECDFs give an integer 0 and
         so a hard ``0.0``.
+
+        The result is allocated once and filled in blocks of rows whose
+        integer numerator takes at most ``_ROW_BYTES`` (65 rows at Q = 1000
+        in int32): each block is computed, converted exactly into its rows
+        of the result and scaled there in place.
         """
         n = e - s + 1
-        dtype = np.int32 if n * (n - 1) < 2**31 else np.int64
-        base = self.prefix[s - 1]
-        numerator = np.subtract(self.prefix[lo:hi], base, dtype=dtype)
-        numerator *= n
+        wide = n * (n - 1) >= 2**31
+        dtype = np.int64 if wide else np.int32
+        prefix = self.prefix
+        base = prefix[s - 1]
+        total = np.subtract(prefix[e], base, dtype=dtype)
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
-        numerator -= n1[:, None] * np.subtract(self.prefix[e], base, dtype=dtype)
         factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
-        return numerator * factor[:, None]
+        out = np.empty((hi - lo, prefix.shape[1]))
+        step = max(1, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4)))
+        for b0 in range(lo, hi, step):
+            b1 = min(b0 + step, hi)
+            rows = slice(b0 - lo, b1 - lo)
+            numerator = np.subtract(prefix[b0:b1], base, dtype=dtype)
+            numerator *= n
+            numerator -= n1[rows, None] * total
+            block = out[rows]
+            np.copyto(block, numerator)  # int -> float64 is exact up to 2**53
+            block *= factor[rows, None]
+        return out
 
     def profile_matrix(self, s: int, e: int) -> np.ndarray:
         """CUSUM values for every candidate ``b`` in ``[s, e)``.
@@ -359,8 +378,8 @@ def _profile_norms(
     one. ``linf`` ignores it, since a maximum over repeated columns is the
     same maximum.
     """
-    if kind is Norm.LINF:
-        return np.abs(matrix).max(axis=-1)
+    if kind is Norm.LINF:  # max |x| with no |matrix| temporary; + 0.0 clears -0.0
+        return np.maximum(matrix.max(axis=-1), -matrix.min(axis=-1)) + 0.0
     terms = np.abs(matrix) if kind is Norm.L1 else np.square(matrix)
     mean = terms.mean(axis=-1) if counts is None else terms @ counts / counts.sum()
     return mean if kind is Norm.L1 else np.sqrt(mean)

@@ -16,6 +16,7 @@ from rankseg import (
     norm_value,
     segment,
 )
+from rankseg.contrast import _profile_norms
 
 from conftest import (
     ecdf,
@@ -372,6 +373,29 @@ class TestCusumTable:
             want = float_contrast(table.prefix, 1, T, b, b + 1)[0]
             np.testing.assert_allclose(got[b - 1], want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("T", [3000, 50_000], ids=["int32", "int64"])
+    def test_row_blocks(self, rng, T, monkeypatch):
+        # row counts around the block size B of the kernel: each block is
+        # the float formula, row() reads the same bits, and one block over
+        # all rows gives the same bits as the blocks
+        x = rng.standard_normal(T)
+        table = CusumTable(x, grid_points(x, 64))
+        wide = T * (T - 1) >= 2**31
+        B = CusumTable._ROW_BYTES // (64 * (8 if wide else 4))
+        assert B == (512 if wide else 1024)
+        lo = T // 6  # the rows lo .. lo + 2B stay inside [1, T)
+        results = {}
+        for m in (1, B - 1, B, B + 1, 2 * B + 1):
+            got = table._contrast(1, T, lo, lo + m)
+            want = float_contrast(table.prefix, 1, T, lo, lo + m)
+            assert got.shape == (m, 64)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            for i in {0, B - 1, B, 2 * B, m - 1} & set(range(m)):
+                assert np.array_equal(table.row(1, T, lo + i), got[i])
+            results[m] = got
+        monkeypatch.setattr(CusumTable, "_ROW_BYTES", 2**40)
+        assert np.array_equal(table._contrast(1, T, lo, lo + 2 * B + 1), results[2 * B + 1])
+
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))
         with pytest.raises(ValueError):
@@ -481,6 +505,22 @@ class TestNormValue:
             rows = norm_value(kind, matrix)
             assert rows.shape == (7,)
             assert rows.tolist() == [norm_value(kind, row) for row in matrix]
+
+    def test_linf_is_max_abs_bit_for_bit(self, rng):
+        # max(max, -min) + 0.0 is max |x| exactly, and a zero row is +0.0
+        matrix = np.vstack([
+            rng.standard_normal((5, 9)),
+            -np.abs(rng.standard_normal((2, 9))),
+            np.abs(rng.standard_normal(9)),
+            np.zeros(9),
+            np.full(9, -0.0),
+            [0.0, -0.0] * 4 + [-3.0],
+        ])
+        got = _profile_norms(matrix, Norm.LINF)
+        want = np.abs(matrix).max(axis=-1)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got).any()
+        assert got[-1] == 3.0 and got[8] == got[9] == 0.0
 
     def test_permutation_invariance(self, rng):
         for _ in range(20):

@@ -10,18 +10,20 @@ from rankseg import (
     DetectorConfig,
     Norm,
     Segmentation,
+    Series,
     StopRule,
     detect,
     grid_points,
     interval_sequences,
     norm_value,
+    overestimate,
     segment,
     threshold,
 )
 from rankseg.detector import DEFAULT_CONSTANTS, _window_bounds
 from rankseg.simulate import ModelSpec, generate
 
-from conftest import naive_interval_sequences, thresholds_of
+from conftest import naive_interval_sequences, thresholds_of, uncompressed_segment
 
 THRESHOLD = DetectorConfig(stop=StopRule.THRESHOLD)
 
@@ -48,6 +50,19 @@ class TestThreshold:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             threshold(0.9, 1)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((True, 10), "constant"), ((0.9, 2.5), "length"), ((0.9, True), "length"),
+         ((-0.1, 10), "constant"), ((math.nan, 10), "constant"), (("0.9", 10), "constant")],
+    )
+    def test_non_numbers_rejected(self, args, name):
+        # True once counted as 1.0 and a length of 2.5 was taken as given
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            threshold(*args)
+
+    def test_numpy_numbers_accepted(self):
+        assert threshold(np.float64(0.9), np.int64(100)) == threshold(0.9, 100)
 
     def test_calibrated_constants(self):
         assert DetectorConfig(norm=Norm.LINF).resolved_constant() == 0.9
@@ -95,6 +110,21 @@ class TestExpansionSchedule:
             interval_sequences(0, 10, 5, 10)
         with pytest.raises(ValueError):
             interval_sequences(1, 11, 5, 10)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((1, 10, True, 10), "step"), ((1.0, 10, 5, 10), "s"), ((1, 10.0, 5, 10), "e"),
+         ((1, 10, 5, 10.0), "length"), ((1, 10, 2.5, 10), "step")],
+    )
+    def test_non_integers_rejected(self, args, name):
+        # step=True once ran as a step of 1 and a float s raised TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            interval_sequences(*args)
+
+    def test_numpy_integers_accepted(self):
+        got = interval_sequences(*map(np.int64, (1, 60, 10, 60)))
+        assert got == interval_sequences(1, 60, 10, 60)
+        assert all(type(a) is int and type(b) is int for a, b, _ in got)
 
 
 class TestIntervalSequences:
@@ -515,3 +545,82 @@ class TestProfileBudget:
         with pytest.raises(ValueError, match="T=2000 and Q=500"):
             detect(x, replace(config, split=None))
         assert detect(x, replace(config, split=1000)).intervals_evaluated > 0
+
+
+@pytest.fixture
+def profiled(monkeypatch):
+    """The ``(s, e)`` of every ``CusumTable.profile_matrix`` call, in order."""
+    calls = []
+    original = CusumTable.profile_matrix
+
+    def counted(self, s, e):
+        calls.append((s, e))
+        return original(self, s, e)
+
+    monkeypatch.setattr(CusumTable, "profile_matrix", counted)
+    return calls
+
+
+def steps(length, jumps, seed):
+    """Unit-noise Gaussian series with a shift of 4 after each jump position."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(length) + 4.0 * np.searchsorted(jumps, np.arange(length), "right")
+
+
+class TestQuietMemo:
+    """Intervals an earlier pass profiled without firing are not profiled again.
+
+    The reference is ``conftest.uncompressed_segment``, whose scan profiles
+    every interval of the isolation order.
+    """
+
+    @pytest.mark.parametrize(
+        "run, calls, intervals",
+        [
+            (lambda: detect(generate(ModelSpec("MM_GAUSS", 0)), THRESHOLD), 36, 51),
+            (lambda: overestimate(generate(ModelSpec("T1", 0, length=3000))), 206, 369),
+            # one quiet pass: nothing to skip, the full interval scanned twice
+            (lambda: detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))), 134, 134),
+        ],
+        ids=["MM_GAUSS", "T1-3000-sweep", "NOCHANGE_GAUSS-1000"],
+    )
+    def test_profile_calls_pinned(self, profiled, run, calls, intervals):
+        seg = run()
+        assert (len(profiled), seg.intervals_evaluated) == (calls, intervals)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("stop", ["threshold", "bic"])
+    def test_matches_memo_free_scan(self, profiled, norm, stop):
+        # multi-pass scans give the memo-free result, byte for byte, while
+        # profiling fewer intervals than they count
+        rng = np.random.default_rng(31)
+        config = DetectorConfig(norm=norm, stop=stop, expansion_step=7, split=None)
+        skipped = 0
+        for seed in range(8):
+            T = int(rng.integers(120, 400))
+            jumps = np.sort(rng.choice(np.arange(20, T - 20), int(rng.integers(1, 5)), False))
+            x = steps(T, jumps, seed)
+            profiled.clear()
+            got = segment(x, config)
+            n_profiled = len(profiled)
+            want = uncompressed_segment(Series(x), config)
+            assert got.to_dict() == want.to_dict()
+            assert got.intervals_evaluated == want.intervals_evaluated
+            skipped += got.intervals_evaluated - n_profiled
+        assert skipped > 0
+
+    def test_memo_is_per_window(self):
+        # window 1 fires on a left interval after its right intervals
+        # (1, 16) .. (1, 76) stayed quiet; window 2's change at 40 first
+        # fires on (1, 46), which window 1 profiled as quiet
+        x = steps(600, [240, 340], 3)
+        config = replace(THRESHOLD, split=300)
+        got = detect(x, config)
+        found, n_scanned = {}, 0
+        for lo in (0, 300):
+            part = uncompressed_segment(Series(x[lo : lo + 300]), replace(config, split=None))
+            found.update({c + lo: v for c, v in zip(part.changepoints, part.scores)})
+            n_scanned += part.intervals_evaluated
+        assert 340 in got.changepoints
+        assert dict(zip(got.changepoints, got.scores)) == found
+        assert got.intervals_evaluated == n_scanned
