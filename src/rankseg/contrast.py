@@ -17,12 +17,15 @@ length.
   on continuous data. The scan and the solution path build their tables on
   the kept levels; their byte guards still use the configured Q, so whether
   a call raises depends on T and Q only, never on the data.
-- ``CusumTable`` holds the prefix counts of the indicators at those levels.
-  Its one kernel turns two prefix lookups into the weighted two-sample ECDF
+- ``CusumTable`` holds the prefix counts of the indicators at those levels,
+  at every time ``0..T`` for the scan or at a few cut times for the
+  solution path, which reads only its candidates and the two ends.
+  Its one kernel turns prefix lookups into the weighted two-sample ECDF
   contrast, an exact integer numerator scaled by one float per split, and
   fills the float64 result in blocks of rows of at most 256 KiB of
   integers, so its temporaries stay in cache. ``profile_matrix`` (every
-  split of an interval) and ``row`` (one split) are two row ranges of it.
+  split of an interval) and ``row`` (one split) are two row ranges of it,
+  so a cut table's row is the full table's bit for bit.
   ``indicator_sd`` is the per-level rescale deviation, read off the table's
   column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
@@ -245,35 +248,83 @@ def _distinct_levels(
 
 
 class CusumTable:
-    """Prefix indicator counts for one series against a fixed evaluation set.
+    """Prefix indicator counts for one series at a set of cut times.
 
-    ``prefix[b, j]`` holds ``#{t <= b : r_t <= k_j}`` for ``b = 0..T``
-    (1-based time), with ``r`` the series' ranks and ``k_j`` its levels, so
-    any interval CUSUM row is two prefix lookups and a full profile over
-    ``[s, e)`` costs O((e - s) * Q) after the one-off O(T * Q) build. A level
-    above ``T`` raises ``ValueError``: the set was built for another series.
-    So does a table larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything
-    is allocated.
+    ``prefix[i, j]`` holds ``#{t <= c_i : r_t <= k_j}`` at the cut times
+    ``0 = c_0 < c_1 < .. < c_m = T`` (1-based time), with ``r`` the series'
+    ranks and ``k_j`` its levels, so any interval CUSUM row whose ends and
+    split are cuts is three prefix lookups. By default every time ``0..T`` is
+    a cut: the ``(T + 1) x Q`` table the scan profiles every split of, built
+    in O(T * Q). Given fewer ``cuts`` (they must include 0 and T), the table
+    holds only their rows, counted per gap between cuts and level in
+    O(T log Q + m * Q); the solution path builds one at its candidates. A
+    time that is not a cut raises ``ValueError``. A level above ``T`` raises
+    ``ValueError``: the set was built for another series. So does a table
+    larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
     _BLOCK = 512  # columns per cumsum pass, bounds the boolean scratch
-    _ROW_BYTES = 2**18  # integer numerator bytes per row block of the kernel
+    _ROW_BYTES = 2**18  # integer bytes per row block of the kernel and the cut build
 
-    def __init__(self, series, eval_points: EvalPoints):
+    def __init__(self, series, eval_points: EvalPoints, cuts=None):
         series = as_series(series)
         r = series.ranks
         k = eval_points.levels
         T, Q = r.size, k.size
         if k[-1] > T:
             raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
-        _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
-        prefix = np.zeros((T + 1, Q), dtype=np.int32)
-        for q0 in range(0, Q, self._BLOCK):
-            cols = slice(q0, min(q0 + self._BLOCK, Q))
-            ind = r[:, None] <= k[None, cols]
-            np.cumsum(ind, axis=0, dtype=np.int32, out=prefix[1:, cols])
         self.length = T
+        self._cut_row = None  # time -> row of prefix; None when every time is a cut
+        if cuts is not None:
+            cuts = tuple(_check_int("cut times", t) for t in cuts)
+            if cuts[:1] != (0,) or cuts[-1:] != (T,):
+                raise ValueError(f"cut times must start at 0 and end at T={T}")
+            cuts = (0, *_check_positions(cuts[1:-1], T, "cut times"), T)
+            if len(cuts) == T + 1:
+                cuts = None
+        if cuts is None:
+            _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
+            prefix = np.zeros((T + 1, Q), dtype=np.int32)
+            for q0 in range(0, Q, self._BLOCK):
+                cols = slice(q0, min(q0 + self._BLOCK, Q))
+                ind = r[:, None] <= k[None, cols]
+                np.cumsum(ind, axis=0, dtype=np.int32, out=prefix[1:, cols])
+        else:
+            _check_bytes("a prefix table", T, Q, len(cuts) * Q * 4)
+            prefix = self._cut_counts(np.searchsorted(k, r), np.asarray(cuts), Q)
+            self._cut_row = {t: i for i, t in enumerate(cuts)}
         self.prefix = prefix
+
+    @classmethod
+    def _cut_counts(cls, col: np.ndarray, cuts: np.ndarray, Q: int) -> np.ndarray:
+        """The prefix rows at ``cuts`` from each time's first level column ``col``.
+
+        Time ``t`` counts at the levels ``col[t - 1]`` and above
+        (``searchsorted(levels, r_t)``; ``Q`` means none). One ``bincount``
+        per block of gaps counts the times of gap ``(c_{i-1}, c_i]`` by
+        column, a cumsum across columns turns that into the gap's counts at
+        each level, and a cumsum across gaps into the prefix rows. The int64
+        counts of a block take at most ``_ROW_BYTES``.
+        """
+        rows = cuts.size
+        prefix = np.zeros((rows, Q), dtype=np.int32)
+        step = max(1, cls._ROW_BYTES // ((Q + 1) * 8))
+        for g0 in range(1, rows, step):
+            g1 = min(g0 + step, rows)
+            gap = np.repeat(np.arange(g1 - g0), np.diff(cuts[g0 - 1 : g1]))
+            cols = col[cuts[g0 - 1] : cuts[g1 - 1]]
+            counts = np.bincount(gap * (Q + 1) + cols, minlength=(g1 - g0) * (Q + 1))
+            np.cumsum(counts.reshape(g1 - g0, Q + 1)[:, :Q], axis=1, out=prefix[g0:g1])
+        return np.cumsum(prefix, axis=0, out=prefix)
+
+    def _at(self, t: int) -> int:
+        """The row of ``prefix`` that holds time ``t``."""
+        if self._cut_row is None:
+            return t
+        try:
+            return self._cut_row[t]
+        except KeyError:
+            raise ValueError(f"time {t} is not a cut of this table") from None
 
     def _check(self, s: int, e: int) -> None:
         if not (1 <= s < e <= self.length):
@@ -285,10 +336,10 @@ class CusumTable:
     def indicator_sd(self) -> np.ndarray:
         """Estimated standard deviation of the indicator sequence per level.
 
-        With ``p`` the fraction of ranks <= k (the column total over T),
-        returns ``sqrt(p * (1 - p))`` clamped to 0.3 whenever ``p < 0.1`` or
-        ``p > 0.9``; dividing contrasts by an unclamped near-zero deviation
-        would inflate them spuriously.
+        With ``p`` the fraction of ranks <= k (the column total over T, the
+        last row), returns ``sqrt(p * (1 - p))`` clamped to 0.3 whenever
+        ``p < 0.1`` or ``p > 0.9``; dividing contrasts by an unclamped
+        near-zero deviation would inflate them spuriously.
         """
         p = self.prefix[-1] / self.length
         return np.where((p < 0.1) | (p > 0.9), 0.3, np.sqrt(p * (1.0 - p)))
@@ -319,8 +370,9 @@ class CusumTable:
         wide = n * (n - 1) >= 2**31
         dtype = np.int64 if wide else np.int32
         prefix = self.prefix
-        base = prefix[s - 1]
-        total = np.subtract(prefix[e], base, dtype=dtype)
+        base = prefix[self._at(s - 1)]
+        total = np.subtract(prefix[self._at(e)], base, dtype=dtype)
+        shift = self._at(lo) - lo  # the splits lo..hi-1 are consecutive rows
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
         out = np.empty((hi - lo, prefix.shape[1]))
@@ -328,7 +380,7 @@ class CusumTable:
         for b0 in range(lo, hi, step):
             b1 = min(b0 + step, hi)
             rows = slice(b0 - lo, b1 - lo)
-            numerator = np.subtract(prefix[b0:b1], base, dtype=dtype)
+            numerator = np.subtract(prefix[b0 + shift : b1 + shift], base, dtype=dtype)
             numerator *= n
             numerator -= n1[rows, None] * total
             block = out[rows]
@@ -340,13 +392,21 @@ class CusumTable:
         """CUSUM values for every candidate ``b`` in ``[s, e)``.
 
         Returns a float array of shape ``(e - s, Q)``; row ``i`` is the
-        contrast at ``b = s + i`` across all evaluation levels.
+        contrast at ``b = s + i`` across all evaluation levels. Every time
+        in ``[s - 1, e]`` must be a cut of the table.
         """
+        s, e = _check_int("s", s), _check_int("e", e)
         self._check(s, e)
+        if self._at(e) - self._at(s - 1) != e - s + 1:
+            raise ValueError(f"a profile needs every time in [{s - 1}, {e}] as a cut")
         return self._contrast(s, e, s, e)
 
     def row(self, s: int, e: int, b: int) -> np.ndarray:
-        """Single CUSUM vector at split ``b`` within ``[s, e]``."""
+        """Single CUSUM vector at split ``b`` within ``[s, e]``.
+
+        ``s - 1``, ``b`` and ``e`` must be cuts of the table.
+        """
+        s, e, b = _check_int("s", s), _check_int("e", e), _check_int("b", b)
         self._check(s, e)
         if not (s <= b < e):
             raise ValueError(f"need s <= b < e, got s={s}, b={b}, e={e}")

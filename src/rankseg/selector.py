@@ -6,6 +6,11 @@ candidates by importance (iteratively discarding the weakest triplet
 contrast), and finally picks the prefix of that ordering that minimises a
 Schwarz-type criterion built on an integrated profile log-likelihood of the
 segment ECDFs.
+
+Both stages work at the resolution of the candidates, not of the series: the
+path's prefix table holds the rows at 0, at the J candidates and at T only,
+and a segment of n observations evaluates its likelihood term's entropy at
+the n + 1 values its ECDF can take, then gathers it at the order statistics.
 """
 
 from __future__ import annotations
@@ -90,9 +95,12 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     vector over the interval spanned by its two current neighbours (with
     sentinels 0 and T), at the levels ``config.eval_points_for(series)``;
     under ``linf`` each level is divided by its indicator standard deviation.
-    The table keeps one column per distinct indicator (``_distinct_levels``),
-    and ``l1``/``l2`` weight each by its multiplicity; its byte guard uses
-    the configured number of levels.
+    The table holds the prefix counts at 0, at the candidates and at T only,
+    the ``J + 2`` times the triplets read, and keeps one column per distinct
+    indicator (``_distinct_levels``); ``l1``/``l2`` weight each column by its
+    multiplicity. Its byte guard is that of a ``(T + 1) x Q`` table at the
+    configured number of levels, so whether a call raises depends on T and
+    Q only.
     The lowest-scoring candidate is removed and only its former neighbours
     are re-scored, which leaves every other triplet untouched. The returned
     ordering lists the last-removed candidate first. On the candidates
@@ -110,7 +118,7 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     Q = len(eval_points)
     _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
     eval_points, counts = _distinct_levels(series, eval_points)
-    table = CusumTable(series, eval_points)
+    table = CusumTable(series, eval_points, (0, *work, T))
     sd = table.indicator_sd if kind is Norm.LINF else None
 
     def triplet_score(prev: int, cur: int, nxt: int) -> float:
@@ -153,10 +161,14 @@ def st_likelihood(series, breakpoints=()) -> float:
               * [F_i(x_(l)) log F_i(x_(l)) + (1 - F_i(x_(l))) log(1 - F_i(x_(l)))]
 
     evaluated at the order statistics ``x_(l)`` of the full series, with the
-    convention ``0 log 0 = 0``. ``F_i(x_(l))`` is the share of the segment's
-    ranks ``<= l``, read off one ``bincount`` of the segment's ranks. Always
-    finite and <= 0; refining a segmentation never decreases it. Each segment
-    term is computed once per ``Series``, in a memo on it keyed by ``(a, b)``.
+    convention ``0 log 0 = 0``. ``F_i(x_(l))`` is the share ``c / n`` of the
+    segment's ``n`` ranks that are ``<= l``, with the counts ``c`` read off
+    one ``bincount`` of the segment's ranks. It takes only the values
+    ``0, 1/n, .., 1``, so the entropy is evaluated at those ``n + 1`` values
+    and gathered at the counts: the same floats, with ``n + 1`` logs per
+    term instead of ``T - 2``. Always finite and <= 0; refining a
+    segmentation never decreases it. Each segment term is computed once per
+    ``Series``, in a memo on it keyed by ``(a, b)``.
     """
     series = as_series(series)
     r = series.ranks
@@ -170,9 +182,11 @@ def st_likelihood(series, breakpoints=()) -> float:
     edges = [0, *bpts, T]
     for a, b in zip(edges, edges[1:]):
         if (a, b) not in terms:
-            f = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T] / (b - a)
+            n = b - a
+            count = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T]
+            f = np.arange(n + 1) / n
             entropy = _xlogx(f) + _xlogx(1.0 - f)
-            terms[a, b] = (b - a) * float(weights @ entropy)
+            terms[a, b] = n * float(weights @ entropy[count])
         total += terms[a, b]
     return T * total
 
@@ -187,7 +201,8 @@ def bic_select(series, path: SolutionPath) -> BicResult:
 
     Evaluates ``-st_likelihood + j * penalty`` for every ``j = 0..J`` and
     returns the smallest minimiser. Through the ``Series`` term memo each
-    segment's term is computed once per call: 2J + 1 terms, O(J * T) in all.
+    segment's term is computed once per call: 2J + 1 terms, each an O(T)
+    gather, O(J * T) in all.
     """
     series = as_series(series)
     penalty = bic_penalty(len(series))

@@ -16,7 +16,7 @@ from rankseg import (
     norm_value,
     segment,
 )
-from rankseg.contrast import _profile_norms
+from rankseg.contrast import _distinct_levels, _profile_norms
 
 from conftest import (
     ecdf,
@@ -404,6 +404,99 @@ class TestCusumTable:
             table.profile_matrix(0, 3)
         with pytest.raises(ValueError):
             table.row(1, 3, 3)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda t: t.profile_matrix(True, 10), "s"),
+            (lambda t: t.profile_matrix(1.0, 10), "s"),
+            (lambda t: t.profile_matrix(1, 10.0), "e"),
+            (lambda t: t.row(1, 10, True), "b"),
+            (lambda t: t.row(1, 10, 2.0), "b"),
+            (lambda t: t.row(np.float64(1), 10, 2), "s"),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, call, name):
+        # a bool is not read as 0 or 1, a float is not an index
+        x = np.arange(10.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(CusumTable(x, grid_points(x, 10)))
+
+    def test_numpy_integer_arguments_accepted(self):
+        x = np.random.default_rng(3).standard_normal(10)
+        table = CusumTable(x, grid_points(x, 10))
+        s, e, b = np.int64(2), np.int32(9), np.uint8(5)
+        assert np.array_equal(table.profile_matrix(s, e), table.profile_matrix(2, 9))
+        assert np.array_equal(table.row(s, e, b), table.row(2, 9, 5))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("q", [7, "T"])
+    @pytest.mark.parametrize("row_bytes", [CusumTable._ROW_BYTES, 64], ids=["blocks", "gap-by-gap"])
+    def test_cut_table_rows_equal_full_rows(self, rng, ties, q, row_bytes, monkeypatch):
+        # a table at some cut times holds the full table's rows at them, so
+        # every row it can give, and its deviations, are the same bits
+        monkeypatch.setattr(CusumTable, "_ROW_BYTES", row_bytes)
+        for _ in range(20):
+            x = random_series(rng, ties=ties)
+            T = len(x)
+            points = grid_points(x, T if q == "T" else q)
+            if ties:
+                points = _distinct_levels(Series(x), points)[0]
+            full = CusumTable(x, points)
+            inner = np.sort(rng.choice(np.arange(1, T), int(rng.integers(0, T)), replace=False))
+            cuts = [0, *inner.tolist(), T]
+            table = CusumTable(x, points, cuts)
+            assert np.array_equal(table.prefix, full.prefix[cuts])
+            assert np.array_equal(table.indicator_sd, full.indicator_sd)
+            for _ in range(10 if len(cuts) > 2 else 0):
+                i, j, m = np.sort(rng.choice(len(cuts), 3, replace=False))
+                s, b, e = cuts[i] + 1, cuts[j], cuts[m]
+                assert np.array_equal(table.row(s, e, b), full.row(s, e, b))
+
+    def test_cut_table_long_window_uses_wide_integers(self, rng):
+        # a window past 46,341 takes the int64 numerator on a cut table too
+        T = 50_000
+        x = rng.standard_normal(T)
+        points = grid_points(x, 16)
+        full = CusumTable(x, points)
+        cuts = [0, 1, 7, 20_000, 25_001, 49_999, T]
+        table = CusumTable(x, points, cuts)
+        assert np.array_equal(table.prefix, full.prefix[cuts])
+        for s, b, e in [(1, 1, T), (1, 25_001, T), (2, 20_000, T), (8, 49_999, T), (1, 7, 20_000)]:
+            assert np.array_equal(table.row(s, e, b), full.row(s, e, b))
+
+    def test_cut_table_rejects_times_it_does_not_hold(self):
+        x = np.random.default_rng(5).standard_normal(12)
+        table = CusumTable(x, grid_points(x, 12), (0, 3, 4, 5, 6, 9, 12))
+        assert table.prefix.shape == (7, 12)
+        with pytest.raises(ValueError, match="time 7 is not a cut"):
+            table.row(4, 9, 7)  # split
+        with pytest.raises(ValueError, match="time 2 is not a cut"):
+            table.row(3, 9, 5)  # s - 1
+        with pytest.raises(ValueError, match="time 8 is not a cut"):
+            table.row(4, 8, 5)  # e
+        assert table.row(4, 9, 5).shape == (12,)
+        # a profile reads every split, so every time in [s - 1, e] is a cut
+        assert np.array_equal(
+            table.profile_matrix(4, 6), CusumTable(x, grid_points(x, 12)).profile_matrix(4, 6)
+        )
+        with pytest.raises(ValueError, match=r"every time in \[3, 9\]"):
+            table.profile_matrix(4, 9)
+        with pytest.raises(ValueError, match="time 10 is not a cut"):
+            table.profile_matrix(4, 10)
+
+    @pytest.mark.parametrize(
+        "cuts", [(1, 5, 12), (0, 5, 11), (0, 12, 5), (0, 5, 5, 12), (0, 4.0, 12), (0,), ()]
+    )
+    def test_cut_times_validated(self, cuts):
+        x = np.arange(12.0)
+        with pytest.raises(ValueError, match="cut times"):
+            CusumTable(x, grid_points(x, 4), cuts)
+
+    def test_every_time_a_cut_is_the_full_table(self):
+        x = np.random.default_rng(6).standard_normal(9)
+        points = grid_points(x, 9)
+        assert np.array_equal(CusumTable(x, points, range(10)).prefix, CusumTable(x, points).prefix)
 
     def test_level_above_length_rejected(self):
         # a set built for a longer series must not be read on a shorter one

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankseg import (
+    CusumTable,
     DetectorConfig,
     Norm,
     StopRule,
@@ -127,6 +129,17 @@ class TestStLikelihood:
         # an array carries no memo from one call to the next
         assert segment(x).bic == seg.bic
         assert len(calls) == 4 * terms
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_short_segments_at_the_sentinels(self, rng, ties):
+        # a segment of n observations has n + 1 ECDF values, here 2 or 3
+        T = 40
+        x = rng.integers(0, 5, T).astype(float) if ties else rng.standard_normal(T)
+        for bpts in [
+            (1,), (2,), (T - 1,), (T - 2,), (1, T - 1), (2, T - 2),
+            (1, 3, T - 2, T - 1), (1, 2, 20, T - 2, T - 1),
+        ]:
+            assert st_likelihood(x, bpts) == sorted_st_likelihood(x, bpts)
 
     def test_too_short_for_a_term(self):
         # no order statistic strictly inside 1..T: the sum is empty
@@ -265,6 +278,37 @@ class TestSolutionPath:
         base = solution_path(x, cands, cfg)
         mapped = solution_path(np.exp(x), cands, cfg)
         assert base.ordered == mapped.ordered
+
+    def test_builds_one_table_at_its_cut_times(self, monkeypatch):
+        # the path reads the rows at 0, at its J candidates and at T only
+        series = generate(ModelSpec("MM_GAUSS", 0))
+        cands = overestimate(series).changepoints
+        rows = []
+        init = CusumTable.__init__
+
+        def spy(table, *args, **kwargs):
+            init(table, *args, **kwargs)
+            rows.append(table.prefix.shape[0])
+
+        monkeypatch.setattr(CusumTable, "__init__", spy)
+        path = solution_path(series, cands)
+        assert cands and rows == [len(cands) + 2]
+        monkeypatch.undo()
+        assert path == segment(series).path
+
+    def test_peak_memory_of_a_long_path(self):
+        # T1(6000) with its 199 sweep candidates and Q = 300: a (T + 1) x Q
+        # table alone would take 6.9 MiB
+        series = generate(ModelSpec("T1", 0, length=6000))
+        cands = overestimate(series).changepoints
+        assert len(cands) == 199
+        tracemalloc.start()
+        try:
+            solution_path(series, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
