@@ -23,7 +23,10 @@ length.
   Its one kernel turns prefix lookups into the weighted two-sample ECDF
   contrast, an exact integer numerator scaled by one float per split, and
   fills the float64 result in blocks of rows of at most 256 KiB of
-  integers, so its temporaries stay in cache. ``profile_matrix`` (every
+  integers, so its temporaries stay in cache. The interval's ``n1 * t`` is
+  computed once per call, over the first block's rows; a later block adds
+  only a vector offset. The integers are int32 while ``n * e``, which bounds
+  every intermediate, fits, and int64 beyond. ``profile_matrix`` (every
   split of an interval) and ``row`` (one split) are two row ranges of it,
   so a cut table's row is the full table's bit for bit.
   ``indicator_sd`` is the per-level rescale deviation, read off the table's
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -109,12 +113,16 @@ def _check_bytes(what: str, T: int, Q: int, nbytes: int) -> None:
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
     """Change-point positions as ints, strictly increasing and in ``[1, T-1]``.
 
-    Non-integer and bool positions are rejected, not truncated.
+    Non-integer and bool positions are rejected, not truncated. Plain ints,
+    the common case, are checked with no Python call per position; the
+    range is checked before the order.
     """
-    positions = tuple(_check_int(what, r) for r in positions)
-    if any(r < 1 or r > length - 1 for r in positions):
+    positions = tuple(positions)
+    if not set(map(type, positions)) <= {int}:  # numpy integers, or rejected
+        positions = tuple(_check_int(what, r) for r in positions)
+    if positions and (min(positions) < 1 or max(positions) > length - 1):
         raise ValueError(f"{what} must lie in [1, {length - 1}]")
-    if any(b <= a for a, b in zip(positions, positions[1:])):
+    if not all(map(operator.lt, positions, positions[1:])):
         raise ValueError(f"{what} must be strictly increasing")
     return positions
 
@@ -165,6 +173,15 @@ class Series:
     def _st_terms(self) -> dict[tuple[int, int], float]:
         """The S_T segment terms by ``(a, b)``, filled by ``st_likelihood``."""
         return {}
+
+    @cached_property
+    def _st_weights(self) -> np.ndarray:
+        """The S_T weights ``1 / (l (T - l))`` for ``l = 2..T-1``, read-only."""
+        T = self.values.size
+        l = np.arange(2.0, T)
+        weights = 1.0 / (l * (T - l))
+        weights.flags.writeable = False
+        return weights
 
 
 def as_series(data) -> Series:
@@ -355,19 +372,27 @@ class CusumTable:
         with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1``, ``F_pre``,
         ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``, ``c`` the
         count of ``X_s..X_b`` at level ``k`` and ``t`` that of the interval.
-        The numerator is computed exactly in integers: int32 while
-        ``n * (n - 1)``, which bounds ``c * n`` and ``n1 * t``, fits, and int64
-        for windows longer than 46,341. One float factor per row then scales
-        it into the float64 result. Equal segment ECDFs give an integer 0 and
-        so a hard ``0.0``.
+        The numerator is computed exactly in integers and one float factor
+        per row then scales it into the float64 result. Equal segment ECDFs
+        give an integer 0 and so a hard ``0.0``.
 
         The result is allocated once and filled in blocks of rows whose
         integer numerator takes at most ``_ROW_BYTES`` (65 rows at Q = 1000
-        in int32): each block is computed, converted exactly into its rows
-        of the result and scaled there in place.
+        in int32), so the temporaries stay in cache. The per-interval part
+        ``n1 * t`` is computed once per call, as the ``ramp`` over the first
+        block's rows. The first block is ``c * n - ramp``. A block starting
+        ``d`` rows later has ``d`` more in every ``n1``, so it is
+        ``n * P_b - (n * P_{s-1} + d * t) - ramp`` with ``P`` the prefix
+        counts: a Q-vector offset, not a new outer product. Each block is
+        written into the first block's integer array, converted exactly into
+        its rows of the result and scaled there in place.
+
+        Every count read is at most ``e``, so every intermediate lies within
+        ``n * e``: the integers are int32 while that fits and int64 beyond
+        (from 46,341 on a window starting at 1).
         """
         n = e - s + 1
-        wide = n * (n - 1) >= 2**31
+        wide = n * e >= 2**31
         dtype = np.int64 if wide else np.int32
         prefix = self.prefix
         base = prefix[self._at(s - 1)]
@@ -377,12 +402,24 @@ class CusumTable:
         factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
         out = np.empty((hi - lo, prefix.shape[1]))
         step = max(1, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4)))
+        ramp = np.multiply(n1[:step, None], total, dtype=dtype)
         for b0 in range(lo, hi, step):
             b1 = min(b0 + step, hi)
             rows = slice(b0 - lo, b1 - lo)
-            numerator = np.subtract(prefix[b0 + shift : b1 + shift], base, dtype=dtype)
-            numerator *= n
-            numerator -= n1[rows, None] * total
+            # the first block, c * n - ramp, needs no offset: a one-block call
+            # (every row is one) is short enough for its numpy calls to count
+            if b0 == lo:
+                numerator = np.subtract(prefix[b0 + shift : b1 + shift], base, dtype=dtype)
+                numerator *= n
+                numerator -= ramp
+            else:  # n * P_b - offset - ramp, in the first block's array
+                offset = np.multiply(base, n, dtype=dtype)
+                offset += np.multiply(total, b0 - lo, dtype=dtype)
+                numerator = np.multiply(
+                    prefix[b0 + shift : b1 + shift], n, dtype=dtype, out=numerator[: b1 - b0]
+                )
+                numerator -= offset
+                numerator -= ramp[: b1 - b0]
             block = out[rows]
             np.copyto(block, numerator)  # int -> float64 is exact up to 2**53
             block *= factor[rows, None]

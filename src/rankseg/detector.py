@@ -172,6 +172,8 @@ class DetectorConfig:
                 _check_real("threshold_constant", self.threshold_constant, 0, strict=True),
             )
         if self.grid not in ("auto", "full"):
+            if isinstance(self.grid, str):
+                raise ValueError(f"grid must be 'auto', 'full' or an integer, got {self.grid!r}")
             store("grid", _check_int("grid", self.grid, 1))
         if self.split is not None:
             store("split", _check_int("split", self.split, 2))

@@ -168,14 +168,13 @@ def st_likelihood(series, breakpoints=()) -> float:
     and gathered at the counts: the same floats, with ``n + 1`` logs per
     term instead of ``T - 2``. Always finite and <= 0; refining a
     segmentation never decreases it. Each segment term is computed once per
-    ``Series``, in a memo on it keyed by ``(a, b)``.
+    ``Series``, in a memo on it keyed by ``(a, b)``, and the weights once
+    per ``Series`` too.
     """
     series = as_series(series)
     r = series.ranks
     T = r.size
     bpts = _check_positions(breakpoints, T, "breakpoints")
-    l = np.arange(2.0, T)
-    weights = 1.0 / (l * (T - l))
 
     terms = series._st_terms
     total = 0.0
@@ -186,7 +185,7 @@ def st_likelihood(series, breakpoints=()) -> float:
             count = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T]
             f = np.arange(n + 1) / n
             entropy = _xlogx(f) + _xlogx(1.0 - f)
-            terms[a, b] = n * float(weights @ entropy[count])
+            terms[a, b] = n * float(series._st_weights @ entropy[count])
         total += terms[a, b]
     return T * total
 

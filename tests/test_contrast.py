@@ -1,6 +1,7 @@
 """Ranks, evaluation levels, the prefix-count table and its kernel, and the norms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rankseg import (
     norm_value,
     segment,
 )
-from rankseg.contrast import _distinct_levels, _profile_norms
+from rankseg.contrast import _check_positions, _distinct_levels, _profile_norms
 
 from conftest import (
     ecdf,
@@ -84,6 +85,58 @@ class TestSeries:
         values[3] = bad
         with pytest.raises(ValueError, match="finite"):
             Series(values)
+
+
+class TestCheckPositions:
+    """``_check_positions``: plain ints, numpy integers, and the rejects."""
+
+    @pytest.mark.parametrize(
+        "positions",
+        [(2, 5, 9), [2, 5, 9], np.array([2, 5, 9]), np.array([2, 5, 9], dtype=np.uint16),
+         (np.int64(2), np.int64(5), np.int64(9)), (2, np.int32(5), 9), range(2, 10, 3)],
+        ids=["tuple", "list", "int64 array", "uint16 array", "np.int64 tuple", "mixed", "range"],
+    )
+    def test_integers_accepted_as_ints(self, positions):
+        got = _check_positions(positions, 10, "positions")
+        assert got == tuple(int(p) for p in positions)
+        assert all(type(p) is int for p in got)
+
+    def test_empty_accepted(self):
+        assert _check_positions((), 10, "positions") == ()
+        assert _check_positions(np.array([], dtype=np.int64), 10, "positions") == ()
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(True, "True"), (np.True_, repr(np.True_)), (2.0, "2.0"),
+         (np.float64(2.5), repr(np.float64(2.5)))],
+        ids=["bool", "np.bool_", "float", "np.float64"],
+    )
+    def test_non_integers_rejected(self, bad, shown):
+        message = rf"^positions must be an integer, got {re.escape(shown)}$"
+        for positions in ((bad,), (1, bad, 9), [3, bad]):
+            with pytest.raises(ValueError, match=message):
+                _check_positions(positions, 10, "positions")
+
+    @pytest.mark.parametrize(
+        "positions", [(0,), (10,), (-3, 4), (4, 12)], ids=["0", "T", "negative", "above"]
+    )
+    def test_out_of_range_rejected(self, positions):
+        for cast in (tuple, np.array):
+            with pytest.raises(ValueError, match=r"^positions must lie in \[1, 9\]$"):
+                _check_positions(cast(positions), 10, "positions")
+
+    @pytest.mark.parametrize("positions", [(5, 5), (6, 2), (1, 4, 3)])
+    def test_not_increasing_rejected(self, positions):
+        for cast in (tuple, np.array):
+            with pytest.raises(ValueError, match="^positions must be strictly increasing$"):
+                _check_positions(cast(positions), 10, "positions")
+
+    @pytest.mark.parametrize("positions", [(7, 3, 12), (12, 3), (5, 0), (0, 0)])
+    def test_range_error_wins_over_order(self, positions):
+        # each is out of order as well as out of range: the range is named
+        for cast in (tuple, np.array):
+            with pytest.raises(ValueError, match="must lie in"):
+                _check_positions(cast(positions), 10, "positions")
 
 
 class TestEcdf:
@@ -395,6 +448,32 @@ class TestCusumTable:
             results[m] = got
         monkeypatch.setattr(CusumTable, "_ROW_BYTES", 2**40)
         assert np.array_equal(table._contrast(1, T, lo, lo + 2 * B + 1), results[2 * B + 1])
+
+    @pytest.mark.parametrize(
+        "T, q, s, B", [(4000, 64, 301, 1024), (50_000, 16, 5001, 2048)], ids=["int32", "int64"]
+    )
+    def test_blocks_after_the_first_with_a_base(self, rng, T, q, s, B):
+        # s > 1 makes the offset's n * P_{s-1} non-zero, and three or more
+        # blocks move it by d * t twice or more. The int64 window has n * e
+        # past 2**31 although n * (n - 1), the first block's bound, is not
+        x = rng.standard_normal(T)
+        table = CusumTable(x, grid_points(x, q))
+        n = T - s + 1
+        wide = n * T >= 2**31
+        assert wide == (T > 4000) and n * (n - 1) < 2**31
+        assert B == CusumTable._ROW_BYTES // (q * (8 if wide else 4))
+        assert table.prefix[s - 1].any()
+        got = table.profile_matrix(s, T)
+        assert got.shape == (T - s, q) and (T - s) > 2 * B
+        np.testing.assert_allclose(
+            got, float_contrast(table.prefix, s, T, s, T), rtol=1e-12, atol=1e-12
+        )
+        for i in sorted({0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, T - s - 1}):
+            assert np.array_equal(table.row(s, T, s + i), got[i])
+        # a profile that starts inside the interval has its first block there
+        lo = s + B // 2
+        part = table._contrast(s, T, lo, lo + 3 * B)
+        assert np.array_equal(part, got[lo - s : lo - s + 3 * B])
 
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))

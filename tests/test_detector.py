@@ -262,6 +262,14 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(split="sometimes")
 
+    @pytest.mark.parametrize("bad", ["fulll", "AUTO", "Full", "", "300"])
+    def test_unknown_grid_word_names_the_choices(self, bad):
+        # these once raised "grid must be an integer"
+        with pytest.raises(
+            ValueError, match=f"^grid must be 'auto', 'full' or an integer, got {bad!r}$"
+        ):
+            DetectorConfig(grid=bad)
+
     def test_removed_spellings_rejected(self):
         # rescale=True, "yes" and np.bool_(True) were accepted and echoed; the
         # path rescales exactly under linf. "auto" was another name for 2000

@@ -130,6 +130,17 @@ class TestStLikelihood:
         assert segment(x).bic == seg.bic
         assert len(calls) == 4 * terms
 
+    def test_weights_kept_once_per_series_read_only(self):
+        series = generate(ModelSpec("T1", 0))
+        st_likelihood(series, (100, 200))
+        weights = series._st_weights
+        T = len(series)
+        l = np.arange(2.0, T)
+        assert np.array_equal(weights, 1.0 / (l * (T - l)))
+        assert not weights.flags.writeable
+        st_likelihood(series, (50, 100, 200))
+        assert series._st_weights is weights
+
     @pytest.mark.parametrize("ties", [False, True])
     def test_short_segments_at_the_sentinels(self, rng, ties):
         # a segment of n observations has n + 1 ECDF values, here 2 or 3
