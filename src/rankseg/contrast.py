@@ -24,9 +24,10 @@ length.
   contrast, an exact integer numerator scaled by one float per split, and
   fills the float64 result in blocks of rows of at most 256 KiB of
   integers, so its temporaries stay in cache. The interval's ``n1 * t`` is
-  computed once per call, over the first block's rows; a later block adds
-  only a vector offset. The integers are int32 while ``n * e``, which bounds
-  every intermediate, fits, and int64 beyond. ``profile_matrix`` (every
+  computed once per call, over the first block's rows, and every block is
+  ``n * P_b`` less that ramp and a vector offset ``n * P_{s-1} + d * t``,
+  ``d`` rows after the first. The integers are int32 while ``n * e``, which
+  bounds every intermediate, fits, and int64 beyond. ``profile_matrix`` (every
   split of an interval) and ``row`` (one split) are two row ranges of it,
   so a cut table's row is the full table's bit for bit.
   ``indicator_sd`` is the per-level rescale deviation, read off the table's
@@ -378,18 +379,18 @@ class CusumTable:
 
         The result is allocated once and filled in blocks of rows whose
         integer numerator takes at most ``_ROW_BYTES`` (65 rows at Q = 1000
-        in int32), so the temporaries stay in cache. The per-interval part
-        ``n1 * t`` is computed once per call, as the ``ramp`` over the first
-        block's rows. The first block is ``c * n - ramp``. A block starting
-        ``d`` rows later has ``d`` more in every ``n1``, so it is
-        ``n * P_b - (n * P_{s-1} + d * t) - ramp`` with ``P`` the prefix
-        counts: a Q-vector offset, not a new outer product. Each block is
-        written into the first block's integer array, converted exactly into
-        its rows of the result and scaled there in place.
+        in int32), so the temporaries stay in cache. A block ``d`` rows after
+        ``lo`` is ``n * P_b - (n * P_{s-1} + d * t) - ramp``, with ``P`` the
+        prefix counts and ``ramp`` the first block's ``n1 * t``, built once
+        per call: the first block is ``d = 0``, and a later one costs a
+        Q-vector offset, not a new outer product. Each block is written into
+        one integer array, converted exactly into its rows of the result and
+        scaled there in place.
 
-        Every count read is at most ``e``, so every intermediate lies within
-        ``n * e``: the integers are int32 while that fits and int64 beyond
-        (from 46,341 on a window starting at 1).
+        Every count read is at most ``e``, so every intermediate that is read
+        lies within ``n * e``: the integers are int32 while that fits and
+        int64 beyond (from 46,341 on a window starting at 1). The offset's
+        advance past the last block may wrap; it is never read.
         """
         n = e - s + 1
         wide = n * e >= 2**31
@@ -401,27 +402,21 @@ class CusumTable:
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
         out = np.empty((hi - lo, prefix.shape[1]))
-        step = max(1, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4)))
+        step = max(1, min(hi - lo, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4))))
         ramp = np.multiply(n1[:step, None], total, dtype=dtype)
+        numerator = np.empty_like(ramp)
+        offset = np.multiply(base, n, dtype=dtype)  # n * P_{s-1} + d * t, d = 0 first
+        advance = np.multiply(total, step, dtype=dtype)
         for b0 in range(lo, hi, step):
             b1 = min(b0 + step, hi)
             rows = slice(b0 - lo, b1 - lo)
-            # the first block, c * n - ramp, needs no offset: a one-block call
-            # (every row is one) is short enough for its numpy calls to count
-            if b0 == lo:
-                numerator = np.subtract(prefix[b0 + shift : b1 + shift], base, dtype=dtype)
-                numerator *= n
-                numerator -= ramp
-            else:  # n * P_b - offset - ramp, in the first block's array
-                offset = np.multiply(base, n, dtype=dtype)
-                offset += np.multiply(total, b0 - lo, dtype=dtype)
-                numerator = np.multiply(
-                    prefix[b0 + shift : b1 + shift], n, dtype=dtype, out=numerator[: b1 - b0]
-                )
-                numerator -= offset
-                numerator -= ramp[: b1 - b0]
+            part = numerator[: b1 - b0]
+            np.multiply(prefix[b0 + shift : b1 + shift], n, dtype=dtype, out=part)
+            part -= offset
+            part -= ramp[: b1 - b0]
+            offset += advance
             block = out[rows]
-            np.copyto(block, numerator)  # int -> float64 is exact up to 2**53
+            np.copyto(block, part)  # int -> float64 is exact up to 2**53
             block *= factor[rows, None]
         return out
 

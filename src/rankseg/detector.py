@@ -145,8 +145,11 @@ class DetectorConfig:
         them) or a number of equally spaced order statistics, capped at the
         series length.
     split : int or None
-        Window length (at least 2): longer series are cut into windows of
-        this length, 2000 by default; ``None`` disables splitting.
+        Window length (at least 2), 2000 by default; ``None`` disables
+        splitting. A series of length ``T`` is cut into
+        ``max(1, (T + split - split // 2) // split)`` windows of this
+        length, the last ending at ``T``: a tail shorter than half a window
+        joins the last one.
 
     Validated numbers are stored as Python ``int``/``float``, so
     :meth:`to_dict` is JSON-ready.
@@ -258,18 +261,13 @@ class Segmentation:
 
 
 def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
-    """Consecutive 0-based window slices; a short tail folds into the last."""
-    if length <= win:
-        return [(0, length)]
-    n = length // win
-    bounds = [(i * win, (i + 1) * win) for i in range(n)]
-    rem = length - n * win
-    if rem:
-        if rem < win // 2:
-            bounds[-1] = (bounds[-1][0], length)
-        else:
-            bounds.append((n * win, length))
-    return bounds
+    """Consecutive 0-based window slices of length ``win >= 2``; the last ends at ``length``.
+
+    There are ``max(1, (length + win - win // 2) // win)`` windows, so a
+    tail shorter than half a window folds into the last one.
+    """
+    count = max(1, (length + win - win // 2) // win)
+    return [(i * win, (i + 1) * win) for i in range(count - 1)] + [((count - 1) * win, length)]
 
 
 def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
@@ -326,10 +324,13 @@ def _config(config) -> DetectorConfig:
 def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     """Estimate change-points with the thresholded expanding-interval scan.
 
-    Series longer than the configured window length are cut into consecutive
-    windows, each detected independently, with the window-local estimates
-    offset back to global positions. Whatever ``config.stop`` says, the scan
-    stops on the threshold, and the result's config records that rule.
+    A series of length ``T`` is cut into
+    ``max(1, (T + split - split // 2) // split)`` consecutive windows of
+    ``config.split`` points, the last ending at ``T`` (one window when
+    ``split`` is ``None``), each detected independently, with the
+    window-local estimates offset back to global positions. Whatever
+    ``config.stop`` says, the scan stops on the threshold, and the result's
+    config records that rule.
 
     Parameters
     ----------

@@ -25,10 +25,12 @@ __all__ = [
 def largest_segment(truth, length: int) -> int:
     """Length of the longest true segment, with sentinels 0 and T.
 
-    ``truth`` is sorted, then must be distinct positions in ``[1, T-1]``.
+    ``length`` is an integer ``T >= 1``; ``truth`` is sorted, then must be
+    distinct positions in ``[1, T-1]``.
     """
+    length = _check_int("length", length, 1)
     truth = _check_positions(sorted(truth), length, "truth positions")
-    edges = [0, *truth, int(length)]
+    edges = [0, *truth, length]
     return max(b - a for a, b in zip(edges, edges[1:]))
 
 

@@ -141,6 +141,23 @@ def naive_interval_sequences(s, e, step, length):
     return out
 
 
+def naive_window_bounds(length, win):
+    """Window slices built window by window: whole windows of ``win``, then
+    the remainder appended as its own window, or folded into the last one
+    when it is shorter than half a window."""
+    if length <= win:
+        return [(0, length)]
+    n = length // win
+    bounds = [(i * win, (i + 1) * win) for i in range(n)]
+    rem = length - n * win
+    if rem:
+        if rem < win // 2:
+            bounds[-1] = (bounds[-1][0], length)
+        else:
+            bounds.append((n * win, length))
+    return bounds
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -475,6 +475,23 @@ class TestCusumTable:
         part = table._contrast(s, T, lo, lo + 3 * B)
         assert np.array_equal(part, got[lo - s : lo - s + 3 * B])
 
+    def test_int32_edge(self, rng):
+        # the longest window on int32: n * e = 46,340**2 = 2,147,395,600 is
+        # just below 2**31. Level T makes n * P_b and the offset d * t reach
+        # about n * e, and sixteen levels spread [1, T] over twelve blocks
+        T = 46_340
+        assert T * T < 2**31 <= (T + 1) * (T + 1)
+        x = rng.standard_normal(T)
+        table = CusumTable(x, EvalPoints(np.linspace(1, T, 16).astype(int), "grid"))
+        B = CusumTable._ROW_BYTES // (16 * 4)
+        got = table.profile_matrix(1, T)
+        assert got.shape == (T - 1, 16) and T - 1 > 2 * B
+        np.testing.assert_allclose(
+            got, float_contrast(table.prefix, 1, T, 1, T), rtol=1e-12, atol=1e-12
+        )
+        for i in sorted({0, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, T - 2}):
+            assert np.array_equal(table.row(1, T, 1 + i), got[i])
+
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))
         with pytest.raises(ValueError):

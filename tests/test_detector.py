@@ -23,7 +23,12 @@ from rankseg import (
 from rankseg.detector import DEFAULT_CONSTANTS, _window_bounds
 from rankseg.simulate import ModelSpec, generate
 
-from conftest import naive_interval_sequences, thresholds_of, uncompressed_segment
+from conftest import (
+    naive_interval_sequences,
+    naive_window_bounds,
+    thresholds_of,
+    uncompressed_segment,
+)
 
 THRESHOLD = DetectorConfig(stop=StopRule.THRESHOLD)
 
@@ -178,6 +183,13 @@ class TestWindowBounds:
     def test_short_remainder_absorbed(self):
         assert _window_bounds(2500, 2000) == [(0, 2500)]
         assert _window_bounds(4500, 2000) == [(0, 2000), (2000, 4500)]
+
+    def test_matches_window_by_window_oracle(self):
+        # every window length 2..79 against every length 1..699, and a few long series
+        cases = [(T, win) for win in range(2, 80) for T in range(1, 700)]
+        cases += [(6000, 2000), (20_000, 2000), (10**7, 2000)]
+        for T, win in cases:
+            assert _window_bounds(T, win) == naive_window_bounds(T, win), (T, win)
 
     def test_one_point_window_scans_nothing(self):
         # a one-point tail window has no split, so it adds no interval and no change

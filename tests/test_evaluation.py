@@ -38,6 +38,19 @@ class TestLargestSegment:
         with pytest.raises(ValueError, match="truth positions must be an integer"):
             largest_segment([2.9], 5)
 
+    @pytest.mark.parametrize(
+        "truth, length, message",
+        [([3], 10.7, "integer"), ([3], True, "integer"), ([], 0, ">= 1"), ([], -4, ">= 1")],
+    )
+    def test_length_must_be_a_positive_integer(self, truth, length, message):
+        # largest_segment([3], 10.7) once read the length as 10 and returned
+        # 7, and largest_segment([], 0) returned 0
+        with pytest.raises(ValueError, match=f"length must be .*{message}"):
+            largest_segment(truth, length)
+
+    def test_numpy_integer_length_accepted(self):
+        assert largest_segment([3], np.int64(10)) == 7
+
 
 class TestHausdorff:
     def test_identical_sets(self):
