@@ -19,17 +19,17 @@ length.
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels,
   at every time ``0..T`` for the scan or at a few cut times for the
-  solution path, which reads only its candidates and the two ends.
-  Its one kernel turns prefix lookups into the weighted two-sample ECDF
-  contrast, an exact integer numerator scaled by one float per split, and
-  fills the float64 result in blocks of rows of at most 256 KiB of
-  integers, so its temporaries stay in cache. The interval's ``n1 * t`` is
-  computed once per call, over the first block's rows, and every block is
-  ``n * P_b`` less that ramp and a vector offset ``n * P_{s-1} + d * t``,
-  ``d`` rows after the first. The integers are int32 while ``n * e``, which
-  bounds every intermediate, fits, and int64 beyond. ``profile_matrix`` (every
-  split of an interval) and ``row`` (one split) are two row ranges of it,
-  so a cut table's row is the full table's bit for bit.
+  solution path, which reads only its candidates and the two ends. Its two
+  builds and its one kernel work in blocks of at most 256 KiB of integers
+  (``_ROW_BYTES``) of columns, gaps or rows, so temporaries stay in cache.
+  The kernel turns prefix lookups into the weighted two-sample ECDF
+  contrast, an exact integer numerator scaled by one float per split. The
+  interval's ``n1 * t`` is computed once per call, over the first block's
+  rows; a block ``d`` rows after the first is ``n * P_b`` less that ramp and
+  its own offset ``n * P_{s-1} + d * t``. The integers are int32 while
+  ``n * e``, which bounds every intermediate, fits, and int64 beyond.
+  ``profile_matrix`` (every split) and ``row`` (one split) are row ranges of
+  the kernel, so a cut table's row is the full table's bit for bit.
   ``indicator_sd`` is the per-level rescale deviation, read off the table's
   column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
@@ -281,8 +281,7 @@ class CusumTable:
     larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
-    _BLOCK = 512  # columns per cumsum pass, bounds the boolean scratch
-    _ROW_BYTES = 2**18  # integer bytes per row block of the kernel and the cut build
+    _ROW_BYTES = 2**18  # integer bytes per block of the kernel and of both table builds
 
     def __init__(self, series, eval_points: EvalPoints, cuts=None):
         series = as_series(series)
@@ -303,8 +302,9 @@ class CusumTable:
         if cuts is None:
             _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
             prefix = np.zeros((T + 1, Q), dtype=np.int32)
-            for q0 in range(0, Q, self._BLOCK):
-                cols = slice(q0, min(q0 + self._BLOCK, Q))
+            step = max(1, self._ROW_BYTES // (T * 4))
+            for q0 in range(0, Q, step):
+                cols = slice(q0, q0 + step)
                 ind = r[:, None] <= k[None, cols]
                 np.cumsum(ind, axis=0, dtype=np.int32, out=prefix[1:, cols])
         else:
@@ -382,15 +382,14 @@ class CusumTable:
         in int32), so the temporaries stay in cache. A block ``d`` rows after
         ``lo`` is ``n * P_b - (n * P_{s-1} + d * t) - ramp``, with ``P`` the
         prefix counts and ``ramp`` the first block's ``n1 * t``, built once
-        per call: the first block is ``d = 0``, and a later one costs a
-        Q-vector offset, not a new outer product. Each block is written into
-        one integer array, converted exactly into its rows of the result and
-        scaled there in place.
+        per call: the first block is ``d = 0``, and each block computes its
+        own Q-vector offset, not a new outer product. Each block is written
+        into one integer array, converted exactly into its rows of the
+        result and scaled there in place.
 
-        Every count read is at most ``e``, so every intermediate that is read
-        lies within ``n * e``: the integers are int32 while that fits and
-        int64 beyond (from 46,341 on a window starting at 1). The offset's
-        advance past the last block may wrap; it is never read.
+        Every count read is at most ``e``, so every intermediate lies within
+        ``n * e``: the integers are int32 while that fits and int64 beyond
+        (from 46,341 on a window starting at 1).
         """
         n = e - s + 1
         wide = n * e >= 2**31
@@ -402,19 +401,19 @@ class CusumTable:
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
         out = np.empty((hi - lo, prefix.shape[1]))
-        step = max(1, min(hi - lo, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4))))
+        step = max(1, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4)))
         ramp = np.multiply(n1[:step, None], total, dtype=dtype)
         numerator = np.empty_like(ramp)
-        offset = np.multiply(base, n, dtype=dtype)  # n * P_{s-1} + d * t, d = 0 first
-        advance = np.multiply(total, step, dtype=dtype)
+        nbase = np.multiply(base, n, dtype=dtype)  # n * P_{s-1}
         for b0 in range(lo, hi, step):
             b1 = min(b0 + step, hi)
             rows = slice(b0 - lo, b1 - lo)
             part = numerator[: b1 - b0]
             np.multiply(prefix[b0 + shift : b1 + shift], n, dtype=dtype, out=part)
+            offset = np.multiply(total, b0 - lo, dtype=dtype)  # n * P_{s-1} + d * t
+            offset += nbase
             part -= offset
             part -= ramp[: b1 - b0]
-            offset += advance
             block = out[rows]
             np.copyto(block, part)  # int -> float64 is exact up to 2**53
             block *= factor[rows, None]

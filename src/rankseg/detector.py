@@ -217,10 +217,10 @@ class DetectorConfig:
 class Segmentation:
     """Detected change-points with their aggregated contrast scores.
 
-    ``changepoints`` are sorted 1-based positions in ``[1, T-1]``;
-    ``scores[k]`` is the aggregated contrast at which ``changepoints[k]`` was
-    detected (for the information-criterion pipeline, the solution-path
-    removal score). ``path`` and ``bic`` are populated by that pipeline only.
+    ``changepoints`` are sorted 1-based positions in ``[1, T-1]`` of a series
+    of integer ``length`` T >= 2; ``scores[k]`` is the aggregated contrast at
+    which ``changepoints[k]`` was detected (the solution-path removal score
+    for the bic pipeline). ``path`` and ``bic`` are populated by that one only.
     """
 
     changepoints: tuple[int, ...]
@@ -234,6 +234,7 @@ class Segmentation:
     def __post_init__(self):
         if len(self.changepoints) != len(self.scores):
             raise ValueError("changepoints and scores must align")
+        object.__setattr__(self, "length", _check_int("length", self.length, 2))
         cps = _check_positions(self.changepoints, self.length, "changepoints")
         object.__setattr__(self, "changepoints", cps)
 

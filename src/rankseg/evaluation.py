@@ -39,11 +39,10 @@ def hausdorff(truth, est, scale: int) -> float | None:
 
     The worst distance from any point of one set to the other set, in both
     directions, divided by ``scale`` (conventionally the longest true segment
-    length). Returns ``None`` when either set is empty, where the distance
-    carries no information.
+    length), an integer >= 1. Returns ``None`` when either set is empty,
+    where the distance carries no information.
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    scale = _check_int("scale", scale, 1)
     a = np.asarray(sorted(truth), dtype=float)
     b = np.asarray(sorted(est), dtype=float)
     if a.size == 0 or b.size == 0:

@@ -24,6 +24,7 @@ from .contrast import (
     CusumTable,
     Norm,
     _check_bytes,
+    _check_int,
     _check_positions,
     _distinct_levels,
     as_series,
@@ -191,8 +192,8 @@ def st_likelihood(series, breakpoints=()) -> float:
 
 
 def bic_penalty(length: int) -> float:
-    """Per-change-point penalty ``0.5 * log(T) ** 2.1`` (natural log)."""
-    return 0.5 * math.log(length) ** 2.1
+    """Per-change-point penalty ``0.5 * log(T) ** 2.1`` (natural log), integer ``T >= 1``."""
+    return 0.5 * math.log(_check_int("length", length, 1)) ** 2.1
 
 
 def bic_select(series, path: SolutionPath) -> BicResult:

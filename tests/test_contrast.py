@@ -616,15 +616,20 @@ class TestCusumTable:
         assert CusumTable(x, grid_points(x, 200)).prefix.shape == (1001, 200)
 
     @pytest.mark.parametrize("q", [1, 7, 300, "T"])
-    def test_prefix_equals_float_comparison_on_ties(self, rng, q):
-        # the rank build reproduces the float build x_t <= x_(k) exactly
+    def test_prefix_equals_float_comparison_on_ties(self, rng, q, monkeypatch):
+        # the rank build reproduces the float build x_t <= x_(k) exactly, at
+        # the default column passes, at one column per pass, and at three
+        # columns per pass, which leaves Q = 7 a last pass of one column
+        default = CusumTable._ROW_BYTES
         for _ in range(5):
             x = rng.integers(0, 9, int(rng.integers(2, 400))).astype(float)
             T = len(x)
             ep = grid_points(x, T if q == "T" else q)
             u = thresholds_of(x, ep)
             want = np.vstack([np.zeros(len(ep), int), np.cumsum(x[:, None] <= u[None, :], axis=0)])
-            assert np.array_equal(CusumTable(x, ep).prefix, want)
+            for row_bytes in (default, 4, 3 * T * 4):
+                monkeypatch.setattr(CusumTable, "_ROW_BYTES", row_bytes)
+                assert np.array_equal(CusumTable(x, ep).prefix, want)
 
 
 class TestRanks:

@@ -216,6 +216,18 @@ class TestSegmentation:
         with pytest.raises(ValueError, match="integer"):
             Segmentation((bad,), (1.0,), DetectorConfig(), 10)
 
+    @pytest.mark.parametrize("bad", [2.5, True, 0, 1])
+    def test_length_validated(self, bad):
+        # 2.5, True and 0 were once kept as given; detect needs T >= 2
+        with pytest.raises(ValueError, match="length must be"):
+            Segmentation((), (), DetectorConfig(), bad)
+
+    def test_numpy_integer_length_stored_as_int(self):
+        # np.int64(10) was once kept as given, and json.dumps(to_dict()) raised
+        seg = Segmentation((3,), (1.0,), DetectorConfig(), np.int64(10))
+        assert type(seg.length) is int
+        assert json.loads(json.dumps(seg.to_dict()))["length"] == 10
+
 
 class TestDetectorConfig:
     def test_defaults(self):

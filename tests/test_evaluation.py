@@ -85,6 +85,15 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff({1}, {2}, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, True])
+    def test_non_integer_scale_rejected(self, bad):
+        # a NaN scale once returned nan, and 1.5 and True were accepted
+        with pytest.raises(ValueError, match="scale must be an integer"):
+            hausdorff({1}, {2}, bad)
+
+    def test_numpy_integer_scale_accepted(self):
+        assert hausdorff({1}, {3}, np.int64(4)) == 0.5
+
 
 class TestReplicateStudy:
     def test_single_rep(self):

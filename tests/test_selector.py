@@ -215,6 +215,17 @@ class TestBicSelect:
     def test_penalty_formula(self):
         assert bic_penalty(500) == pytest.approx(0.5 * math.log(500) ** 2.1, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.5, True, 0, -3])
+    def test_penalty_length_validated(self, bad):
+        # 0.5 once gave a complex penalty, True 0.0 and 0 a math domain error
+        with pytest.raises(ValueError, match="length must be"):
+            bic_penalty(bad)
+
+    def test_one_point_series(self):
+        assert bic_penalty(1) == 0.0
+        result = bic_select(np.array([4.0]), SolutionPath((), ()))
+        assert (result.chosen_j, result.penalty, result.changepoints) == (0, 0.0, ())
+
     def test_empty_path(self):
         result = bic_select(np.arange(20.0), SolutionPath((), ()))
         assert result.chosen_j == 0
