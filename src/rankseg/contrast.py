@@ -28,8 +28,11 @@ length.
   rows; a block ``d`` rows after the first is ``n * P_b`` less that ramp and
   its own offset ``n * P_{s-1} + d * t``. The integers are int32 while
   ``n * e``, which bounds every intermediate, fits, and int64 beyond.
-  ``profile_matrix`` (every split) and ``row`` (one split) are row ranges of
-  the kernel, so a cut table's row is the full table's bit for bit.
+  ``profile_matrix`` (every split of an interval) is a row range of the
+  kernel. ``row`` takes one ``(s, e, b)`` triple or a batch of them, gathers
+  the three prefix rows of each and forms the same integer numerator and
+  factor, so its rows, on a cut table or the full one, equal the profile's
+  bit for bit.
   ``indicator_sd`` is the per-level rescale deviation, read off the table's
   column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
@@ -82,6 +85,15 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return value
+
+
+def _check_ints(name: str, values) -> list[int]:
+    """A 1-d list, tuple or integer array of integers (no bools) as Python ints."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be an integer or a 1-d sequence of integers, got {values!r}")
+    return [_check_int(name, v) for v in values]
 
 
 def _check_real(name: str, value, minimum: float, *, strict: bool = False) -> float:
@@ -432,16 +444,45 @@ class CusumTable:
             raise ValueError(f"a profile needs every time in [{s - 1}, {e}] as a cut")
         return self._contrast(s, e, s, e)
 
-    def row(self, s: int, e: int, b: int) -> np.ndarray:
-        """Single CUSUM vector at split ``b`` within ``[s, e]``.
+    def row(self, s, e, b) -> np.ndarray:
+        """CUSUM vector at split ``b`` within ``[s, e]``, or one per triple.
 
-        ``s - 1``, ``b`` and ``e`` must be cuts of the table.
+        Integers give the ``Q``-vector that is row ``b - s`` of
+        ``profile_matrix(s, e)``; equal-length 1-d integer sequences give an
+        ``(m, Q)`` array of the rows ``row(s[i], e[i], b[i])``, by the same
+        code. Each row is the exact integer ``n * P_b - n1 * P_e - n2 * P_{s-1}``
+        (int32 while the largest ``n * e`` fits, int64 beyond) times
+        ``1 / sqrt(n * n1 * n2)``, as in :meth:`_contrast`, so it equals the
+        profile's row bit for bit. ``s - 1``, ``b`` and ``e`` must be cuts.
         """
-        s, e, b = _check_int("s", s), _check_int("e", e), _check_int("b", b)
-        self._check(s, e)
-        if not (s <= b < e):
-            raise ValueError(f"need s <= b < e, got s={s}, b={b}, e={e}")
-        return self._contrast(s, e, b, b + 1)[0]
+        vector = isinstance(s, (list, tuple, np.ndarray))
+        if vector:
+            s, e, b = _check_ints("s", s), _check_ints("e", e), _check_ints("b", b)
+            if not len(s) == len(e) == len(b):
+                raise ValueError(
+                    f"s, e and b must have equal lengths, got {len(s)}, {len(e)} and {len(b)}"
+                )
+        else:
+            s, e, b = [_check_int("s", s)], [_check_int("e", e)], [_check_int("b", b)]
+        for si, ei, bi in zip(s, e, b):
+            self._check(si, ei)
+            if not si <= bi < ei:
+                raise ValueError(f"need s <= b < e, got s={si}, b={bi}, e={ei}")
+        at = self._at
+        rows = [at(t - 1) for t in s] + [at(t) for t in b] + [at(t) for t in e]
+        n = [j - i + 1 for i, j in zip(s, e)]
+        n1 = [j - i + 1 for i, j in zip(s, b)]
+        dtype = np.int64 if max(map(operator.mul, n, e), default=0) >= 2**31 else np.int32
+        # the weights of P_{s-1}, P_b and P_e: -n2, n and -n1
+        weights = np.array([[j - i for i, j in zip(n, n1)], n, [-j for j in n1]], dtype)
+        gathered = self.prefix.take(rows, axis=0).reshape(3, len(n), self.prefix.shape[1])
+        terms = np.multiply(gathered, weights[..., None], dtype=dtype)
+        numerator = terms[1]
+        numerator += terms[0]
+        numerator += terms[2]
+        factor = [1.0 / math.sqrt(float(i) * j * (i - j)) for i, j in zip(n, n1)]
+        out = np.multiply(numerator, np.array(factor)[:, None])  # int -> float64 is exact
+        return out if vector else out[0]
 
 
 class Norm(str, Enum):

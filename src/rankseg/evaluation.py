@@ -39,12 +39,13 @@ def hausdorff(truth, est, scale: int) -> float | None:
 
     The worst distance from any point of one set to the other set, in both
     directions, divided by ``scale`` (conventionally the longest true segment
-    length), an integer >= 1. Returns ``None`` when either set is empty,
-    where the distance carries no information.
+    length), an integer >= 1. Positions are integers >= 1; a NaN, bool,
+    non-integer or smaller position raises ``ValueError``. Returns ``None``
+    when either set is empty, where the distance carries no information.
     """
     scale = _check_int("scale", scale, 1)
-    a = np.asarray(sorted(truth), dtype=float)
-    b = np.asarray(sorted(est), dtype=float)
+    a = np.asarray(sorted(_check_int("truth positions", t, 1) for t in truth), dtype=float)
+    b = np.asarray(sorted(_check_int("estimated positions", t, 1) for t in est), dtype=float)
     if a.size == 0 or b.size == 0:
         return None
     gaps = np.abs(a[:, None] - b[None, :])

@@ -7,10 +7,12 @@ contrast), and finally picks the prefix of that ordering that minimises a
 Schwarz-type criterion built on an integrated profile log-likelihood of the
 segment ECDFs.
 
-Both stages work at the resolution of the candidates, not of the series: the
-path's prefix table holds the rows at 0, at the J candidates and at T only,
-and a segment of n observations evaluates its likelihood term's entropy at
-the n + 1 values its ECDF can take, then gathers it at the order statistics.
+Both stages work at the resolution of the candidates, not of the series. The
+path's prefix table holds the rows at 0, at the J candidates and at T only;
+one ``CusumTable.row`` call scores a block of first-round triplets, and one
+per removal its two neighbours. A segment of n observations evaluates its
+likelihood term's entropy at the n + 1 values its ECDF can take, then
+repeats each over the order statistics between two of its sorted ranks.
 """
 
 from __future__ import annotations
@@ -102,16 +104,19 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     multiplicity. Its byte guard is that of a ``(T + 1) x Q`` table at the
     configured number of levels, so whether a call raises depends on T and
     Q only.
-    The lowest-scoring candidate is removed and only its former neighbours
-    are re-scored, which leaves every other triplet untouched. The returned
-    ordering lists the last-removed candidate first. On the candidates
-    ``overestimate(series, config).changepoints`` it is ``segment(...).path``.
+    One ``CusumTable.row`` and one ``norm_value`` call score each block of
+    at most ``_ROW_BYTES // (8 Q)`` first-round triplets, so memory does not
+    grow with J. The lowest-scoring candidate (the leftmost on ties) is
+    removed and only its former neighbours are re-scored, in one call. The
+    returned ordering lists the last-removed candidate first. On the
+    candidates ``overestimate(series, config).changepoints`` it is
+    ``segment(...).path``.
     """
     series = as_series(series)
     config = _config(config)
     T = len(series)
-    work = list(_check_positions(candidates, T, "candidates"))
-    if not work:
+    cuts = [0, *_check_positions(candidates, T, "candidates"), T]
+    if len(cuts) == 2:
         return SolutionPath((), ())
 
     kind = config.norm
@@ -119,37 +124,42 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     Q = len(eval_points)
     _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
     eval_points, counts = _distinct_levels(series, eval_points)
-    table = CusumTable(series, eval_points, (0, *work, T))
+    table = CusumTable(series, eval_points, cuts)
     sd = table.indicator_sd if kind is Norm.LINF else None
 
-    def triplet_score(prev: int, cur: int, nxt: int) -> float:
-        row = table.row(prev + 1, nxt, cur)
+    def triplet_scores(first: int, last: int) -> list[float]:
+        """The scores of the candidates ``cuts[first:last]``, from one ``row`` call."""
+        rows = table.row(
+            [t + 1 for t in cuts[first - 1 : last - 1]], cuts[first + 1 : last + 1], cuts[first:last]
+        )
         if sd is not None:
-            row = row / sd
-        return norm_value(kind, row, counts)
+            rows /= sd
+        return norm_value(kind, rows, counts).tolist()
 
-    def rescore(idx: int) -> float:
-        prev = work[idx - 1] if idx > 0 else 0
-        nxt = work[idx + 1] if idx + 1 < len(work) else T
-        return triplet_score(prev, work[idx], nxt)
-
-    scores = [rescore(i) for i in range(len(work))]
+    step = max(1, CusumTable._ROW_BYTES // (8 * table.prefix.shape[1]))
+    scores = []
+    for first in range(1, len(cuts) - 1, step):
+        scores += triplet_scores(first, min(first + step, len(cuts) - 1))
     removed: list[int] = []
     removed_scores: list[float] = []
-    while work:
-        m = int(np.argmin(scores))  # leftmost on ties
-        removed.append(work.pop(m))
+    while scores:
+        m = scores.index(min(scores))  # leftmost on ties
+        removed.append(cuts.pop(m + 1))
         removed_scores.append(scores.pop(m))
-        for idx in (m - 1, m):
-            if 0 <= idx < len(work):
-                scores[idx] = rescore(idx)
+        # the former neighbours m - 1 and m, those that exist, in one call
+        first, last = max(m, 1), min(m + 2, len(cuts) - 1)
+        if first < last:
+            scores[first - 1 : last - 1] = triplet_scores(first, last)
 
     return SolutionPath(tuple(reversed(removed)), tuple(reversed(removed_scores)))
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``p * log(p)`` with ``0 * log(0) = 0``."""
-    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    """Elementwise ``p * log(p)`` with ``0 * log(0) = 0``, for ``p >= 0``.
+
+    A zero is logged as 1, so every entry takes the same unmasked ``log``.
+    """
+    return p * np.log(p + (p == 0))
 
 
 def st_likelihood(series, breakpoints=()) -> float:
@@ -163,11 +173,13 @@ def st_likelihood(series, breakpoints=()) -> float:
 
     evaluated at the order statistics ``x_(l)`` of the full series, with the
     convention ``0 log 0 = 0``. ``F_i(x_(l))`` is the share ``c / n`` of the
-    segment's ``n`` ranks that are ``<= l``, with the counts ``c`` read off
-    one ``bincount`` of the segment's ranks. It takes only the values
-    ``0, 1/n, .., 1``, so the entropy is evaluated at those ``n + 1`` values
-    and gathered at the counts: the same floats, with ``n + 1`` logs per
-    term instead of ``T - 2``. Always finite and <= 0; refining a
+    segment's ``n`` ranks that are ``<= l``. It takes only the values
+    ``0, 1/n, .., 1``, so the entropy is evaluated at those ``n + 1`` values,
+    ``n + 1`` logs per term instead of ``T - 2``. The count is ``j`` from
+    the segment's ``j``-th smallest rank up to the next, so repeating the
+    entropy by the gaps of ``0``, the sorted ranks and ``T + 1`` lays it out
+    at every level ``0..T``: the same floats as a gather at the counts,
+    with no length-``T`` count table. Always finite and <= 0; refining a
     segmentation never decreases it. Each segment term is computed once per
     ``Series``, in a memo on it keyed by ``(a, b)``, and the weights once
     per ``Series`` too.
@@ -178,16 +190,24 @@ def st_likelihood(series, breakpoints=()) -> float:
     bpts = _check_positions(breakpoints, T, "breakpoints")
 
     terms = series._st_terms
+    dtype = np.int32 if T < 2**31 - 1 else np.int64  # holds 0..T + 1
     total = 0.0
-    edges = [0, *bpts, T]
-    for a, b in zip(edges, edges[1:]):
-        if (a, b) not in terms:
+    edges = (0, *bpts, T)
+    for key in zip(edges, edges[1:]):
+        term = terms.get(key)
+        if term is None:
+            a, b = key
             n = b - a
-            count = np.bincount(r[a:b], minlength=T + 1).cumsum()[2:T]
             f = np.arange(n + 1) / n
             entropy = _xlogx(f) + _xlogx(1.0 - f)
-            terms[a, b] = n * float(series._st_weights @ entropy[count])
-        total += terms[a, b]
+            # 0, the segment's sorted ranks, T + 1: the count is j on [r_(j), r_(j+1))
+            steps = np.empty(n + 2, dtype)
+            steps[0], steps[-1] = 0, T + 1
+            steps[1:-1] = r[a:b]
+            steps[1:-1].sort()
+            gathered = np.repeat(entropy, np.diff(steps))[2:T]
+            term = terms[key] = n * float(series._st_weights @ gathered)
+        total += term
     return T * total
 
 
@@ -201,9 +221,12 @@ def bic_select(series, path: SolutionPath) -> BicResult:
 
     Evaluates ``-st_likelihood + j * penalty`` for every ``j = 0..J`` and
     returns the smallest minimiser. Through the ``Series`` term memo each
-    segment's term is computed once per call: 2J + 1 terms, each an O(T)
-    gather, O(J * T) in all.
+    segment's term is computed once per call: 2J + 1 terms, each a sort of
+    the segment's ranks and an O(T) repeat, O(J * T) in all. A ``path``
+    that is not a ``SolutionPath`` raises ``ValueError``.
     """
+    if not isinstance(path, SolutionPath):
+        raise ValueError(f"path must be a SolutionPath, got {type(path).__name__}")
     series = as_series(series)
     penalty = bic_penalty(len(series))
     scores = []

@@ -230,7 +230,11 @@ def generate(spec: ModelSpec) -> Series:
     Series
         The model's segments end to end, with the end of every segment but
         the last as the true change-point positions.
+
+    A ``spec`` that is not a ``ModelSpec`` raises ``ValueError``.
     """
+    if not isinstance(spec, ModelSpec):
+        raise ValueError(f"spec must be a ModelSpec, got {type(spec).__name__}")
     if spec.model in _TRANSFORMED:
         base = generate(ModelSpec(_TRANSFORMED[spec.model], spec.seed))
         return Series(np.exp(base.values), base.truth)

@@ -296,8 +296,8 @@ def test_criterion_8_invariant_suites():
 
     # Hausdorff symmetry and zero-iff-equal
     for _ in range(20):
-        a = sorted(rng.choice(100, size=3, replace=False).tolist())
-        c = sorted(rng.choice(100, size=4, replace=False).tolist())
+        a = sorted((rng.choice(100, size=3, replace=False) + 1).tolist())
+        c = sorted((rng.choice(100, size=4, replace=False) + 1).tolist())
         if hausdorff(a, c, 25) != hausdorff(c, a, 25):
             failures.append("hausdorff symmetry")
             break

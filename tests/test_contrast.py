@@ -581,6 +581,79 @@ class TestCusumTable:
         with pytest.raises(ValueError, match="time 10 is not a cut"):
             table.profile_matrix(4, 10)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("cut", [False, True], ids=["dense", "cut"])
+    def test_vector_row_equals_scalar_rows(self, rng, ties, cut):
+        # a batch of triples gives each triple's scalar row bit for bit, and
+        # the float formula, on the full table and on a table at some cuts
+        for _ in range(20):
+            x = random_series(rng, min_len=8, ties=ties)
+            T = len(x)
+            points = _distinct_levels(Series(x), grid_points(x, T))[0]
+            full = CusumTable(x, points)
+            inner = np.sort(rng.choice(np.arange(1, T), int(rng.integers(1, T)), replace=False))
+            cuts = [0, *inner.tolist(), T]
+            table = CusumTable(x, points, cuts) if cut else full
+            picks = [np.sort(rng.choice(len(cuts), 3, replace=False)) for _ in range(7)]
+            s = [cuts[i] + 1 for i, _, _ in picks]
+            b = [cuts[j] for _, j, _ in picks]
+            e = [cuts[m] for _, _, m in picks]
+            got = table.row(s, e, b)
+            assert got.shape == (7, len(points)) and got.dtype == np.float64
+            for i, triple in enumerate(zip(s, e, b)):
+                assert np.array_equal(got[i], table.row(*triple))
+                want = float_contrast(full.prefix, triple[0], triple[1], triple[2], triple[2] + 1)
+                np.testing.assert_allclose(got[i], want[0], rtol=1e-12, atol=1e-12)
+            # arrays, tuples and one triple give the same rows
+            assert np.array_equal(table.row(np.array(s), tuple(e), np.array(b, np.uint32)), got)
+            assert np.array_equal(table.row(s[:1], e[:1], b[:1]), got[:1])
+
+    def test_vector_row_wide_and_narrow_windows(self, rng):
+        # one batch holding a window past n * e = 2**31 takes int64 for all its
+        # rows; each still equals its own scalar row, int32 or int64
+        T = 50_000
+        x = rng.standard_normal(T)
+        points = grid_points(x, 16)
+        full = CusumTable(x, points)
+        cuts = [0, 1, 7, 20_000, 25_001, 40_000, 49_999, T]
+        table = CusumTable(x, points, cuts)
+        s, b, e = [1, 8, 2, 20_001], [25_001, 20_000, 7, 25_001], [T, 49_999, 20_000, 40_000]
+        assert [(j - i + 1) * j >= 2**31 for i, j in zip(s, e)] == [True, True, False, False]
+        for t in (full, table):
+            got = t.row(s, e, b)
+            for i in range(4):
+                assert np.array_equal(got[i], full.row(s[i], e[i], b[i]))
+                assert np.array_equal(got[i], full.profile_matrix(s[i], e[i])[b[i] - s[i]])
+            assert np.array_equal(t.row(s[2:], e[2:], b[2:]), got[2:])
+
+    def test_empty_batch(self):
+        x = np.arange(6.0)
+        assert CusumTable(x, grid_points(x, 4)).row([], [], []).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "s, e, b, match",
+        [
+            ([4, True], [9, 9], [5, 5], "^s must be an integer"),
+            (np.array([4.0]), [9], [5], "^s must be an integer or a 1-d sequence"),
+            ([4], np.array([True]), [5], "^e must be an integer or a 1-d sequence"),
+            ([4], [9], [5.0], "^b must be an integer"),
+            (np.array([[4]]), [9], [5], "^s must be an integer or a 1-d sequence"),
+            ([4], [9], 5, "^b must be an integer or a 1-d sequence"),
+            ([4, 4], [9], [5, 5], "equal lengths, got 2, 1 and 2"),
+            ([4, 0], [9, 9], [5, 5], "need 1 <= s < e <= T"),
+            ([4, 7], [9, 13], [5, 9], "need 1 <= s < e <= T"),
+            ([4, 4], [9, 9], [5, 9], "need s <= b < e"),
+            ([4, 4], [9, 9], [5, 7], "time 7 is not a cut"),
+            ([4, 3], [9, 9], [5, 5], "time 2 is not a cut"),
+            ([4, 4], [9, 8], [5, 5], "time 8 is not a cut"),
+        ],
+    )
+    def test_vector_row_rejects(self, s, e, b, match):
+        x = np.random.default_rng(5).standard_normal(12)
+        table = CusumTable(x, grid_points(x, 12), (0, 3, 4, 5, 6, 9, 12))
+        with pytest.raises(ValueError, match=match):
+            table.row(s, e, b)
+
     @pytest.mark.parametrize(
         "cuts", [(1, 5, 12), (0, 5, 11), (0, 12, 5), (0, 5, 5, 12), (0, 4.0, 12), (0,), ()]
     )

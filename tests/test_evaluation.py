@@ -70,14 +70,15 @@ class TestHausdorff:
 
     def test_symmetry(self, rng):
         for _ in range(30):
-            a = sorted(rng.choice(200, size=int(rng.integers(1, 6)), replace=False))
-            b = sorted(rng.choice(200, size=int(rng.integers(1, 6)), replace=False))
+            # positions start at 1: the draws of 0..199 shifted by one
+            a = sorted(rng.choice(200, size=int(rng.integers(1, 6)), replace=False) + 1)
+            b = sorted(rng.choice(200, size=int(rng.integers(1, 6)), replace=False) + 1)
             assert hausdorff(a, b, 50) == hausdorff(b, a, 50)
 
     def test_zero_iff_equal(self, rng):
         for _ in range(30):
-            a = sorted(rng.choice(100, size=3, replace=False).tolist())
-            b = sorted(rng.choice(100, size=3, replace=False).tolist())
+            a = sorted((rng.choice(100, size=3, replace=False) + 1).tolist())
+            b = sorted((rng.choice(100, size=3, replace=False) + 1).tolist())
             d = hausdorff(a, b, 10)
             assert (d == 0.0) == (a == b)
 
@@ -93,6 +94,17 @@ class TestHausdorff:
 
     def test_numpy_integer_scale_accepted(self):
         assert hausdorff({1}, {3}, np.int64(4)) == 0.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, 2.0, True, 0, -3])
+    @pytest.mark.parametrize("side", ["truth", "estimated"])
+    def test_bad_positions_rejected(self, bad, side):
+        # [nan] once gave nan, [1.5] a distance of 0.5, and [-3] was accepted
+        args = ([bad], [1]) if side == "truth" else ([1], [bad])
+        with pytest.raises(ValueError, match=f"^{side} positions must be"):
+            hausdorff(*args, 1)
+
+    def test_numpy_integer_positions_accepted(self):
+        assert hausdorff(np.array([2, 9]), [np.int32(3)], 4) == 1.5
 
 
 class TestReplicateStudy:

@@ -226,6 +226,12 @@ class TestBicSelect:
         result = bic_select(np.array([4.0]), SolutionPath((), ()))
         assert (result.chosen_j, result.penalty, result.changepoints) == (0, 0.0, ())
 
+    @pytest.mark.parametrize("bad", [[3], (3, 7), None])
+    def test_path_must_be_a_solution_path(self, bad):
+        # a list of positions once raised AttributeError on path.model
+        with pytest.raises(ValueError, match="path must be a SolutionPath"):
+            bic_select(np.arange(20.0), bad)
+
     def test_empty_path(self):
         result = bic_select(np.arange(20.0), SolutionPath((), ()))
         assert result.chosen_j == 0
@@ -292,6 +298,19 @@ class TestSolutionPath:
                 fast = solution_path(x, cands, DetectorConfig(norm=kind, grid="full"))
                 slow = naive_solution_path(x, cands, kind.value, points, sd)
                 assert fast.ordered == slow
+        # on tied data the path keeps one column per distinct indicator and
+        # weights l1 and l2 by multiplicity, where the naive pass keeps all T
+        for _ in range(10):
+            t = int(rng.integers(12, 60))
+            x = rng.integers(0, 5, t).astype(float)
+            k = int(rng.integers(2, min(9, t - 1)))
+            cands = sorted(rng.choice(np.arange(1, t), size=k, replace=False).tolist())
+            points = np.sort(x)
+            for kind in (Norm.L1, Norm.L2, Norm.LINF):
+                sd = [rescale_sd(x, u) for u in points] if kind is Norm.LINF else None
+                fast = solution_path(x, cands, DetectorConfig(norm=kind, grid="full"))
+                slow = naive_solution_path(x, cands, kind.value, points, sd)
+                assert fast.ordered == slow
 
     def test_rank_invariance(self, rng):
         x = generate(ModelSpec("MM_GAUSS", 7)).values
@@ -315,6 +334,29 @@ class TestSolutionPath:
         monkeypatch.setattr(CusumTable, "__init__", spy)
         path = solution_path(series, cands)
         assert cands and rows == [len(cands) + 2]
+        monkeypatch.undo()
+        assert path == segment(series).path
+
+    @pytest.mark.parametrize(
+        "model, length, calls, triplets", [("MM_GAUSS", None, 3, 5), ("T1", 3000, 99, 205)]
+    )
+    def test_row_calls_of_a_path(self, monkeypatch, model, length, calls, triplets):
+        # one row call scores all J first-round triplets (J <= 109 at Q = 300)
+        # and one per removal re-scores its neighbours: 3 and 99 calls at
+        # seed 0, where one call per triplet took 5 and 205
+        series = generate(ModelSpec(model, 0, length=length))
+        cands = overestimate(series).changepoints
+        sizes = []
+        row = CusumTable.row
+
+        def spy(table, s, e, b):
+            sizes.append(len(s))
+            return row(table, s, e, b)
+
+        monkeypatch.setattr(CusumTable, "row", spy)
+        path = solution_path(series, cands)
+        assert sizes[0] == len(cands) and len(sizes) == len(cands) == calls
+        assert sum(sizes) == triplets and max(sizes[1:]) <= 2
         monkeypatch.undo()
         assert path == segment(series).path
 

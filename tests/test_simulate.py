@@ -68,6 +68,12 @@ class TestCatalogue:
         with pytest.raises(ValueError):
             generate(ModelSpec("M7", 0))
 
+    @pytest.mark.parametrize("bad", ["M1", ("M1", 0), None])
+    def test_spec_must_be_a_model_spec(self, bad):
+        # a model id once raised AttributeError on spec.model
+        with pytest.raises(ValueError, match="spec must be a ModelSpec"):
+            generate(bad)
+
     @pytest.mark.parametrize("length", [0, -1])
     def test_non_positive_length_rejected(self, length):
         with pytest.raises(ValueError, match="length"):
