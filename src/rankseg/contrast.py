@@ -20,21 +20,18 @@ length.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels,
   at every time ``0..T`` for the scan or at a few cut times for the
   solution path, which reads only its candidates and the two ends. Its two
-  builds and its one kernel work in blocks of at most 256 KiB of integers
-  (``_ROW_BYTES``) of columns, gaps or rows, so temporaries stay in cache.
-  The kernel turns prefix lookups into the weighted two-sample ECDF
-  contrast, an exact integer numerator scaled by one float per split. The
-  interval's ``n1 * t`` is computed once per call, over the first block's
-  rows; a block ``d`` rows after the first is ``n * P_b`` less that ramp and
-  its own offset ``n * P_{s-1} + d * t``. The integers are int32 while
-  ``n * e``, which bounds every intermediate, fits, and int64 beyond.
-  ``profile_matrix`` (every split of an interval) is a row range of the
-  kernel. ``row`` takes one ``(s, e, b)`` triple or a batch of them, gathers
-  the three prefix rows of each and forms the same integer numerator and
-  factor, so its rows, on a cut table or the full one, equal the profile's
-  bit for bit.
-  ``indicator_sd`` is the per-level rescale deviation, read off the table's
-  column totals.
+  builds, its kernel and its bound work in blocks of at most 256 KiB of
+  integers (``_ROW_BYTES``), so temporaries stay in cache. The kernel
+  (``_contrast``, where its block rule is written out) turns prefix lookups
+  into the weighted two-sample ECDF contrast, an exact integer numerator
+  scaled by one float per split. ``profile_matrix`` returns a range of
+  splits of an interval, all of them by default. ``row`` takes one
+  ``(s, e, b)`` triple or a batch of them and forms the same integer
+  numerator and factor, so its rows, on a cut table or the full one, equal
+  the profile's bit for bit. ``_coarse_bound`` bounds every split's norm
+  from a few coarse columns, in the same integers, for the scan to skip
+  the intervals that cannot fire. ``indicator_sd`` is the per-level
+  rescale deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
   along the last axis, weighting columns by their multiplicities when given,
   and ``norm_value`` is its validated public form.
@@ -121,6 +118,16 @@ def _check_bytes(what: str, T: int, Q: int, nbytes: int) -> None:
             f"over the {MAX_TABLE_BYTES / 2**20:,.0f} MiB limit; pass an integer grid "
             "(fewer levels) or a split (shorter windows)"
         )
+
+
+def _numerator_dtype(largest: int) -> type:
+    """The kernel's integers: int32 while ``largest``, the largest ``n * e``, fits, else int64."""
+    return np.int64 if largest >= 2**31 else np.int32
+
+
+def _split_factor(n: int, n1: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(n * n1 * n2)``, the float factor of each split's integer numerator."""
+    return 1.0 / np.sqrt(float(n) * n1 * (n - n1))
 
 
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
@@ -293,7 +300,7 @@ class CusumTable:
     larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
-    _ROW_BYTES = 2**18  # integer bytes per block of the kernel and of both table builds
+    _ROW_BYTES = 2**18  # integer bytes per block of the kernel, the bound and both builds
 
     def __init__(self, series, eval_points: EvalPoints, cuts=None):
         series = as_series(series)
@@ -304,6 +311,7 @@ class CusumTable:
             raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
         self.length = T
         self._cut_row = None  # time -> row of prefix; None when every time is a cut
+        self._coarse = {}  # coarse column count -> (coarse table, gap starts, gap weights)
         if cuts is not None:
             cuts = tuple(_check_int("cut times", t) for t in cuts)
             if cuts[:1] != (0,) or cuts[-1:] != (T,):
@@ -404,16 +412,15 @@ class CusumTable:
         (from 46,341 on a window starting at 1).
         """
         n = e - s + 1
-        wide = n * e >= 2**31
-        dtype = np.int64 if wide else np.int32
+        dtype = _numerator_dtype(n * e)
         prefix = self.prefix
         base = prefix[self._at(s - 1)]
         total = np.subtract(prefix[self._at(e)], base, dtype=dtype)
         shift = self._at(lo) - lo  # the splits lo..hi-1 are consecutive rows
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
-        factor = 1.0 / np.sqrt(float(n) * n1 * (n - n1))
+        factor = _split_factor(n, n1)
         out = np.empty((hi - lo, prefix.shape[1]))
-        step = max(1, self._ROW_BYTES // (prefix.shape[1] * (8 if wide else 4)))
+        step = max(1, self._ROW_BYTES // (prefix.shape[1] * np.dtype(dtype).itemsize))
         ramp = np.multiply(n1[:step, None], total, dtype=dtype)
         numerator = np.empty_like(ramp)
         nbase = np.multiply(base, n, dtype=dtype)  # n * P_{s-1}
@@ -431,18 +438,27 @@ class CusumTable:
             block *= factor[rows, None]
         return out
 
-    def profile_matrix(self, s: int, e: int) -> np.ndarray:
-        """CUSUM values for every candidate ``b`` in ``[s, e)``.
+    def profile_matrix(
+        self, s: int, e: int, lo: int | None = None, hi: int | None = None
+    ) -> np.ndarray:
+        """CUSUM values for the splits ``b`` in ``[lo, hi)`` of ``[s, e]``.
 
-        Returns a float array of shape ``(e - s, Q)``; row ``i`` is the
-        contrast at ``b = s + i`` across all evaluation levels. Every time
-        in ``[s - 1, e]`` must be a cut of the table.
+        ``lo`` and ``hi`` default to ``s`` and ``e``, every split of the
+        interval, and must satisfy ``s <= lo < hi <= e``. Returns a float
+        array of shape ``(hi - lo, Q)``; row ``i`` is the contrast at
+        ``b = lo + i`` across all evaluation levels, bit for bit the row
+        ``b - s`` of the whole interval's profile. Every time in
+        ``[s - 1, e]`` must be a cut of the table.
         """
         s, e = _check_int("s", s), _check_int("e", e)
         self._check(s, e)
+        lo = s if lo is None else _check_int("lo", lo)
+        hi = e if hi is None else _check_int("hi", hi)
+        if not s <= lo < hi <= e:
+            raise ValueError(f"need s <= lo < hi <= e, got s={s}, lo={lo}, hi={hi}, e={e}")
         if self._at(e) - self._at(s - 1) != e - s + 1:
             raise ValueError(f"a profile needs every time in [{s - 1}, {e}] as a cut")
-        return self._contrast(s, e, s, e)
+        return self._contrast(s, e, lo, hi)
 
     def row(self, s, e, b) -> np.ndarray:
         """CUSUM vector at split ``b`` within ``[s, e]``, or one per triple.
@@ -472,7 +488,7 @@ class CusumTable:
         rows = [at(t - 1) for t in s] + [at(t) for t in b] + [at(t) for t in e]
         n = [j - i + 1 for i, j in zip(s, e)]
         n1 = [j - i + 1 for i, j in zip(s, b)]
-        dtype = np.int64 if max(map(operator.mul, n, e), default=0) >= 2**31 else np.int32
+        dtype = _numerator_dtype(max(map(operator.mul, n, e), default=0))
         # the weights of P_{s-1}, P_b and P_e: -n2, n and -n1
         weights = np.array([[j - i for i, j in zip(n, n1)], n, [-j for j in n1]], dtype)
         gathered = self.prefix.take(rows, axis=0).reshape(3, len(n), self.prefix.shape[1])
@@ -483,6 +499,63 @@ class CusumTable:
         factor = [1.0 / math.sqrt(float(i) * j * (i - j)) for i, j in zip(n, n1)]
         out = np.multiply(numerator, np.array(factor)[:, None])  # int -> float64 is exact
         return out if vector else out[0]
+
+    def _coarse_bound(
+        self, s: int, e: int, kind: Norm, counts: np.ndarray | None, columns: int
+    ) -> np.ndarray:
+        """An upper bound on the ``kind`` norm of each split ``b`` in ``[s, e)`` of ``[s, e]``.
+
+        The coarse columns are every ``ceil(Q / columns)``-th column and the
+        last, after a virtual level 0 (``c = d = 0``), in a table of their
+        own built on the first call with that count. Every indicator column
+        is monotone in its level, so between two coarse columns ``g < h``
+        the pre-split count ``c`` and the post-split count ``d`` of any level
+        lie between their values at ``g`` and ``h``, and the numerator
+        ``n2 c - n1 d`` of :meth:`_contrast` lies in
+        ``[n2 c_g - n1 d_h, n2 c_h - n1 d_g]``. The larger absolute end
+        ``B`` bounds every level of the gap. It is exact, in the kernel's
+        integers, in blocks of splits of at most ``_ROW_BYTES``. Over the
+        split's factor, the largest ``B`` bounds ``linf``, and the mean of
+        ``B`` (``B**2``) over the gaps, each weighted by its share of the
+        levels, bounds ``l1`` (``l2``); ``counts`` are the multiplicities of
+        the table's levels, as in ``_profile_norms``. Every time in
+        ``[s - 1, e]`` must be a cut.
+        """
+        if columns not in self._coarse:
+            Q = self.prefix.shape[1]
+            step = -(-Q // columns)
+            starts = np.r_[0, np.arange(step, Q, step)]  # each gap's first level
+            coarse = np.zeros((starts.size + 1, self.prefix.shape[0]), np.int32)
+            coarse[1:] = self.prefix[:, np.r_[starts[1:] - 1, Q - 1]].T  # a row per column
+            self._coarse[columns] = coarse, starts, np.diff(starts, append=Q) / Q
+        coarse, starts, weights = self._coarse[columns]
+        if counts is not None and kind is not Norm.LINF:  # the gaps' shares of the levels
+            weights = np.add.reduceat(counts, starts) / counts.sum()
+        n = e - s + 1
+        dtype = _numerator_dtype(n * e)
+        base = coarse[:, self._at(s - 1), None]
+        total = np.subtract(coarse[:, self._at(e), None], base, dtype=dtype)
+        shift = self._at(s) - s  # the splits s..e-1 are consecutive rows
+        n1 = np.arange(1, n, dtype=dtype)
+        out = np.empty(n - 1)
+        step = max(1, self._ROW_BYTES // (coarse.shape[0] * np.dtype(dtype).itemsize))
+        for b0 in range(s, e, step):
+            b1 = min(b0 + step, e)
+            rows = slice(b0 - s, b1 - s)
+            c = np.subtract(coarse[:, b0 + shift : b1 + shift], base, dtype=dtype)
+            pre = c * (n - n1[rows])  # n2 c, under a row for level 0
+            post = np.subtract(total, c, out=c)
+            post *= n1[rows]  # n1 d
+            bound = np.subtract(pre[1:], post[:-1])  # n2 c_h - n1 d_g
+            np.maximum(bound, np.subtract(post[1:], pre[:-1]), out=bound)  # n1 d_h - n2 c_g
+            if kind is Norm.LINF:
+                out[rows] = bound.max(axis=0)
+            elif kind is Norm.L1:
+                out[rows] = weights @ bound
+            else:
+                out[rows] = np.sqrt(weights @ np.square(bound, dtype=float))
+        out *= _split_factor(n, n1)
+        return out
 
 
 class Norm(str, Enum):
@@ -513,7 +586,11 @@ def _profile_norms(
     if kind is Norm.LINF:  # max |x| with no |matrix| temporary; + 0.0 clears -0.0
         return np.maximum(matrix.max(axis=-1), -matrix.min(axis=-1)) + 0.0
     terms = np.abs(matrix) if kind is Norm.L1 else np.square(matrix)
-    mean = terms.mean(axis=-1) if counts is None else terms @ counts / counts.sum()
+    if counts is None:
+        mean = terms.mean(axis=-1)
+    else:  # a row-wise sum, so a row's norm does not depend on the rows beside it
+        terms *= counts
+        mean = terms.sum(axis=-1) / counts.sum()
     return mean if kind is Norm.L1 else np.sqrt(mean)
 
 

@@ -7,13 +7,17 @@ alone in the interval where it first clears the detection threshold, which
 reduces the multiple change-point problem to a sequence of single-split
 maximisations.
 
-After each detection the scan restarts on what is left of the window, and
-the intervals of the new pass that an earlier pass already profiled without
-firing are skipped: the table and the threshold are fixed within a window,
-so such an interval stays quiet. A pass records its quiet intervals only
-once it has fired, so within one pass every interval is profiled, the
-trailing repeat of the full interval included. ``intervals_evaluated``
-still counts every interval of the isolation order, skipped or not.
+After each detection the scan restarts on what is left of the window. The
+table and the threshold are fixed within a window, so an interval profiled
+without firing stays quiet: it joins the quiet set at once and is not
+profiled again, in this pass (the trailing repeat of the full interval) or a
+later one. On a large enough interval an exact upper bound on every split's
+norm, read from a few coarse columns of the table
+(``CusumTable._coarse_bound``), comes first: an interval whose bound stays
+below the threshold is quiet without a profile, and otherwise only the
+splits whose bound clears it are profiled.
+``intervals_evaluated`` still counts every interval of the isolation order,
+skipped or not.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, zip_longest
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,6 +69,17 @@ DEFAULT_CONSTANTS = {Norm.L1: 0.5, Norm.L2: 0.6, Norm.LINF: 0.9}
 FULL_EVAL_MAX = 1000
 DEFAULT_GRID_SIZE = 300
 
+# Coarse columns of the scan's bound (``CusumTable._coarse_bound``) per norm.
+# The bound runs only on a window that keeps at least _BOUND_MIN_LEVELS
+# levels, and on an interval of at least _BOUND_MIN_ROWS splits. On fewer
+# levels it costs about what it saves (short continuous windows, T = 60-80,
+# read 5-16% slower with it); shorter intervals, such as T1's 15 and 30
+# splits, mostly fire, so bounding them adds work and skips nothing.
+# Measured choices: BENCH_bound.json.
+_BOUND_COLUMNS = {Norm.L1: 32, Norm.L2: 32, Norm.LINF: 16}
+_BOUND_MIN_LEVELS = 96
+_BOUND_MIN_ROWS = 32
+
 # Default window length: longer series are cut into windows of this length,
 # the last window absorbing a remainder shorter than half a window.
 SPLIT_LENGTH = 2000
@@ -104,17 +120,20 @@ def interval_sequences(
     length = _check_int("length", length)
     if e > length:
         raise ValueError(f"e must be <= length {length}, got {e}")
+    return list(_interval_order(s, e, step, length))
+
+
+def _interval_order(s: int, e: int, step: int, length: int):
+    """``interval_sequences`` as a generator, for checked arguments."""
     if e - s < 1:
-        return []
-    right = [*range(((s - 1) // step + 1) * step + 1, e, step), e]
-    left = [*range(length - ((length - e) // step + 1) * step, s, -step), s]
-    out: list[tuple[int, int, str]] = []
-    for i in range(max(len(right), len(left))):
-        if i < len(right):
-            out.append((s, right[i], "right"))
-        if i < len(left):
-            out.append((left[i], e, "left"))
-    return out
+        return
+    right = chain(range(((s - 1) // step + 1) * step + 1, e, step), (e,))
+    left = chain(range(length - ((length - e) // step + 1) * step, s, -step), (s,))
+    for r, l in zip_longest(right, left):
+        if r is not None:
+            yield s, r, "right"
+        if l is not None:
+            yield l, e, "left"
 
 
 @dataclass(frozen=True)
@@ -284,32 +303,41 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     table = CusumTable(series, eval_points)
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm
+    columns = _BOUND_COLUMNS[kind]
+    bounded = len(eval_points) >= _BOUND_MIN_LEVELS
+    quiet_below = zeta * (1 - 1e-12)  # the slack covers the bound's rounding
 
     found: dict[int, float] = {}
     n_scanned = 0
-    quiet: set[tuple[int, int]] = set()  # profiled by an earlier pass, no hit
+    quiet: set[tuple[int, int]] = set()  # profiled or bounded without a hit
     s, e = 1, T
     while e - s >= 1:
-        passed: list[tuple[int, int]] = []
-        for ss, ee, side in interval_sequences(s, e, config.expansion_step, T):
+        for ss, ee, side in _interval_order(s, e, config.expansion_step, T):
             n_scanned += 1
             if (ss, ee) in quiet:
                 continue
-            profile = _profile_norms(table.profile_matrix(ss, ee), kind, counts)
+            lo, hi = ss, ee
+            if bounded and ee - ss >= _BOUND_MIN_ROWS:
+                bound = table._coarse_bound(ss, ee, kind, counts, columns)
+                loud = np.flatnonzero(bound > quiet_below)
+                if not loud.size:
+                    quiet.add((ss, ee))
+                    continue
+                # a split outside [lo, hi) is below zeta: never the argmax of a hit
+                lo, hi = ss + int(loud[0]), ss + int(loud[-1]) + 1
+            profile = _profile_norms(table.profile_matrix(ss, ee, lo, hi), kind, counts)
             k = int(np.argmax(profile))
             score = float(profile[k])
             if score > zeta:
-                b = ss + k
-                found.setdefault(b, score)
+                found.setdefault(lo + k, score)
                 if side == "right":
                     s = ee
                 else:
                     e = ss
                 break
-            passed.append((ss, ee))
+            quiet.add((ss, ee))
         else:  # a pass with no hit ends the scan
             break
-        quiet.update(passed)
     return found, n_scanned
 
 

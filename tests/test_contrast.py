@@ -492,6 +492,33 @@ class TestCusumTable:
         for i in sorted({0, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, T - 2}):
             assert np.array_equal(table.row(1, T, 1 + i), got[i])
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_split_range_is_rows_of_the_profile(self, rng, ties):
+        # any [lo, hi) of an interval's splits is that slice of its profile,
+        # bit for bit, including ranges that start or end inside a block
+        for _ in range(20):
+            x = random_series(rng, max_len=400, min_len=3, ties=ties)
+            T = x.size
+            table = CusumTable(x, grid_points(x, int(rng.integers(1, T + 1))))
+            s = int(rng.integers(1, T))
+            e = int(rng.integers(s + 1, T + 1))
+            lo = int(rng.integers(s, e))
+            hi = int(rng.integers(lo + 1, e + 1))
+            whole = table.profile_matrix(s, e)
+            assert np.array_equal(table.profile_matrix(s, e, lo, hi), whole[lo - s : hi - s])
+            assert np.array_equal(table.profile_matrix(s, e, lo), whole[lo - s :])
+            assert np.array_equal(table.profile_matrix(s, e, hi=hi), whole[: hi - s])
+
+    def test_split_range_validation(self):
+        x = np.arange(10.0)
+        table = CusumTable(x, grid_points(x, 10))
+        for lo, hi in ((2, 5), (3, 3), (4, 3), (3, 10), (9, 9)):
+            with pytest.raises(ValueError, match="need s <= lo < hi <= e"):
+                table.profile_matrix(3, 9, lo, hi)
+        for lo, hi, name in ((True, 5, "lo"), (3, 5.0, "hi")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                table.profile_matrix(1, 9, lo, hi)
+
     def test_interval_validation(self):
         table = CusumTable([1.0, 2.0, 3.0], grid_points([1.0, 2.0, 3.0], 3))
         with pytest.raises(ValueError):
@@ -772,6 +799,16 @@ class TestNormValue:
             rows = norm_value(kind, matrix)
             assert rows.shape == (7,)
             assert rows.tolist() == [norm_value(kind, row) for row in matrix]
+
+    def test_weighted_matrix_gives_row_norms(self, rng):
+        # with column counts too, a row's norm does not depend on the rows
+        # normed beside it: one row, a block of rows and any slice agree
+        counts = rng.integers(1, 9, 13)
+        matrix = rng.standard_normal((40, 13))
+        for kind in ALL_NORMS:
+            rows = norm_value(kind, matrix, counts)
+            assert rows.tolist() == [norm_value(kind, row, counts) for row in matrix]
+            assert rows[5:9].tolist() == norm_value(kind, matrix[5:9], counts).tolist()
 
     def test_linf_is_max_abs_bit_for_bit(self, rng):
         # max(max, -min) + 0.0 is max |x| exactly, and a zero row is +0.0

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,14 @@ from rankseg import (
     segment,
     threshold,
 )
-from rankseg.detector import DEFAULT_CONSTANTS, _window_bounds
+from rankseg.contrast import _distinct_levels, _profile_norms
+from rankseg.detector import (
+    _BOUND_MIN_LEVELS,
+    _BOUND_MIN_ROWS,
+    DEFAULT_CONSTANTS,
+    _interval_order,
+    _window_bounds,
+)
 from rankseg.simulate import ModelSpec, generate
 
 from conftest import (
@@ -107,6 +118,18 @@ class TestExpansionSchedule:
                 right, left = sides(s, e, lam, t)
                 assert np.all(np.diff(right) > 0) and right[-1] == e
                 assert np.all(np.diff(left) < 0) and left[-1] == s
+
+    def test_lazy_order_matches_naive_random(self):
+        # the scan reads the generator, interval_sequences its list
+        rng = np.random.default_rng(11)
+        for _ in range(20_000):
+            t = int(rng.integers(2, 500))
+            lam = int(rng.integers(1, 60))
+            s = int(rng.integers(1, t + 1))
+            e = int(rng.integers(s, t + 1))
+            want = naive_interval_sequences(s, e, lam, t)
+            assert list(_interval_order(s, e, lam, t)) == want
+            assert interval_sequences(s, e, lam, t) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -581,13 +604,16 @@ class TestProfileBudget:
 
 @pytest.fixture
 def profiled(monkeypatch):
-    """The ``(s, e)`` of every ``CusumTable.profile_matrix`` call, in order."""
+    """The ``(s, e, lo, hi)`` of every ``CusumTable.profile_matrix`` call, in order.
+
+    ``[lo, hi)`` is the range of splits profiled, ``[s, e)`` when not given.
+    """
     calls = []
     original = CusumTable.profile_matrix
 
-    def counted(self, s, e):
-        calls.append((s, e))
-        return original(self, s, e)
+    def counted(self, s, e, lo=None, hi=None):
+        calls.append((s, e, s if lo is None else lo, e if hi is None else hi))
+        return original(self, s, e, lo, hi)
 
     monkeypatch.setattr(CusumTable, "profile_matrix", counted)
     return calls
@@ -600,7 +626,7 @@ def steps(length, jumps, seed):
 
 
 class TestQuietMemo:
-    """Intervals an earlier pass profiled without firing are not profiled again.
+    """Intervals profiled or bounded without firing are not profiled again.
 
     The reference is ``conftest.uncompressed_segment``, whose scan profiles
     every interval of the isolation order.
@@ -609,10 +635,12 @@ class TestQuietMemo:
     @pytest.mark.parametrize(
         "run, calls, intervals",
         [
-            (lambda: detect(generate(ModelSpec("MM_GAUSS", 0)), THRESHOLD), 36, 51),
-            (lambda: overestimate(generate(ModelSpec("T1", 0, length=3000))), 206, 369),
-            # one quiet pass: nothing to skip, the full interval scanned twice
-            (lambda: detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))), 134, 134),
+            (lambda: detect(generate(ModelSpec("MM_GAUSS", 0)), THRESHOLD), 14, 51),
+            # T1's intervals are too short for the bound: 2 fewer, the trailing
+            # repeat of each of its two windows' last pass
+            (lambda: overestimate(generate(ModelSpec("T1", 0, length=3000))), 204, 369),
+            # one quiet pass: the bound clears all but 4 of its intervals
+            (lambda: detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))), 4, 134),
         ],
         ids=["MM_GAUSS", "T1-3000-sweep", "NOCHANGE_GAUSS-1000"],
     )
@@ -656,3 +684,147 @@ class TestQuietMemo:
         assert 340 in got.changepoints
         assert dict(zip(got.changepoints, got.scores)) == found
         assert got.intervals_evaluated == n_scanned
+
+
+def tied(x, scale=60.0):
+    """``x`` rounded to multiples of ``1 / scale``, so values repeat.
+
+    At the default scale the step series below keep 380-517 distinct
+    values at T = 600-1000, over the bound's ``_BOUND_MIN_LEVELS``.
+    """
+    return np.round(x * scale)
+
+
+class TestRowBound:
+    """The coarse-column bound is an upper bound, and the scan stays exact with it."""
+
+    def assert_bounds(self, x, q, spans, ties, columns=(4, 16, 32)):
+        series = Series(x)
+        points, counts = _distinct_levels(series, grid_points(series, q))
+        assert (counts is not None) == ties
+        table = CusumTable(series, points)
+        for kind in Norm:
+            for n_columns in columns:
+                for s, e, lo, hi in spans:
+                    exact = _profile_norms(table.profile_matrix(s, e, lo, hi), kind, counts)
+                    over = table._coarse_bound(s, e, kind, counts, n_columns)[lo - s : hi - s]
+                    assert np.all(over >= exact * (1 - 1e-12)), (kind, n_columns, s, e)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bounds_every_row_int32(self, ties):
+        rng = np.random.default_rng(5)
+        for T in (40, 300, 700):
+            x = steps(T, [T // 3, T // 2], int(rng.integers(1000)))
+            x = tied(x) if ties else x
+            spans = []
+            for _ in range(10):
+                s = int(rng.integers(1, T - 2))
+                e = int(rng.integers(s + 1, T + 1))
+                spans.append((s, e, s, e))
+            self.assert_bounds(x, T, spans + [(1, T, 1, T)], ties)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bounds_every_row_int64(self, ties):
+        # n * e >= 2**31 over the whole interval: the int64 branch of both
+        # the bound and the kernel; a few split ranges are profiled exactly
+        T = 47_000
+        assert T * T >= 2**31
+        x = steps(T, [15_000, 30_000], 0)
+        x = tied(x, 2.0) if ties else x
+        spans = [(1, T, lo, lo + 40) for lo in (1, 14_990, 23_480, T - 40)]
+        self.assert_bounds(x, 130, spans + [(20_000, T, 29_980, 30_020)], ties, columns=(16,))
+
+    def test_runs_from_the_level_gate_on(self, monkeypatch):
+        # a window keeping fewer than _BOUND_MIN_LEVELS levels is never bounded
+        bounded = []
+        call = CusumTable._coarse_bound
+
+        def counted(self, s, e, *args):
+            bounded.append((s, e))
+            return call(self, s, e, *args)
+
+        monkeypatch.setattr(CusumTable, "_coarse_bound", counted)
+        for T in (_BOUND_MIN_LEVELS - 1, _BOUND_MIN_LEVELS):
+            bounded.clear()
+            detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=T)))
+            assert bool(bounded) == (T == _BOUND_MIN_LEVELS), T
+            assert all(e - s >= _BOUND_MIN_ROWS for s, e in bounded)
+
+    def test_reads_cut_rows_in_blocks(self, monkeypatch):
+        # a cut table holding [s - 1, e] gives the dense table's bound, and so
+        # does a block of a few splits at a time
+        series = Series(tied(steps(700, [200, 450], 9)))
+        points, counts = _distinct_levels(series, grid_points(series, 700))
+        dense = CusumTable(series, points)
+        cut = CusumTable(series, points, cuts=[0, 50, *range(99, 601), 650, 700])
+        with pytest.raises(ValueError, match="not a cut"):
+            cut._coarse_bound(40, 600, Norm.LINF, counts, 16)
+        for kind in Norm:
+            want = dense._coarse_bound(100, 600, kind, counts, 16)
+            got = cut._coarse_bound(100, 600, kind, counts, 16)
+            np.testing.assert_allclose(got, want, rtol=1e-15)
+            with monkeypatch.context() as m:
+                m.setattr(CusumTable, "_ROW_BYTES", 17 * 4 * 7)  # 7 splits per block
+                blocked = CusumTable(series, points)._coarse_bound(100, 600, kind, counts, 16)
+            np.testing.assert_allclose(blocked, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("stop", ["threshold", "bic"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_scan_matches_uncompressed(self, profiled, monkeypatch, norm, stop, ties):
+        # long enough for the bound (kept Q >= _BOUND_MIN_LEVELS and
+        # intervals of _BOUND_MIN_ROWS splits and more): byte for byte the
+        # scan without the bound and the uncompressed reference, with some
+        # intervals skipped on the bound and some profiled in part
+        bounded = []
+        call = CusumTable._coarse_bound
+
+        def counted(self, s, e, *args):
+            bounded.append((s, e))
+            return call(self, s, e, *args)
+
+        monkeypatch.setattr(CusumTable, "_coarse_bound", counted)
+        config = DetectorConfig(norm=norm, stop=stop, split=None)
+        skipped = partial = 0
+        for seed, T in enumerate((600, 800, 1000)):
+            x = steps(T, [T // 4, T // 2 + 37], seed)
+            x = tied(x) if ties else x
+            bounded.clear()
+            profiled.clear()
+            got = segment(x, config).to_dict()
+            long = [c for c in profiled if c[1] - c[0] >= _BOUND_MIN_ROWS]
+            skipped += len(bounded) - len(long)
+            partial += sum((lo, hi) != (s, e) for s, e, lo, hi in long)
+            with monkeypatch.context() as m:
+                m.setattr("rankseg.detector._BOUND_MIN_LEVELS", 10**9)
+                assert got == segment(x, config).to_dict()
+            want = uncompressed_segment(Series(x), config).to_dict()
+            if ties and norm != "linf":  # weighted kept columns: equal up to rounding
+                for key in ("scores", "removal_scores"):
+                    np.testing.assert_allclose(got.pop(key) or [], want.pop(key) or [], rtol=1e-12)
+            assert got == want
+        assert skipped > 0 and partial > 0
+
+
+def test_first_calls_import_no_numpy_submodule():
+    # a module pulled in by a first call (numpy.ma, say) costs every fresh
+    # process its import time inside the first segment call
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, numpy as np, rankseg\n"
+        "before = set(sys.modules)\n"
+        "t = np.arange(600)\n"
+        "x = np.sin(0.7 * t) + (t >= 300) + (t >= 450)\n"
+        "for values in (x, np.round(4 * x)):\n"
+        "    for stop in ('threshold', 'bic'):\n"
+        "        for norm in ('l1', 'l2', 'linf'):\n"
+        "            rankseg.segment(values, rankseg.DetectorConfig(stop=stop, norm=norm))\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -360,6 +360,35 @@ class TestSolutionPath:
         monkeypatch.undo()
         assert path == segment(series).path
 
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_batched_scores_equal_single_rows_on_ties(self, monkeypatch, norm):
+        # the weighted l1/l2 norm of a row does not depend on how many rows
+        # one call scores: the batched path equals one scored row at a time
+        from test_golden import PAPER_MODELS
+
+        import rankseg.selector
+
+        config = DetectorConfig(norm=norm)
+        norm_rows = rankseg.selector.norm_value
+
+        def one_by_one(kind, rows, counts=None):
+            return np.array([norm_rows(kind, row, counts) for row in rows])
+
+        tied_cases = 0
+        for model in PAPER_MODELS:
+            for seed in range(3):
+                series = generate(ModelSpec(model, seed))
+                if np.unique(series.values).size == len(series):
+                    continue
+                tied_cases += 1
+                cands = overestimate(series, config).changepoints
+                batched = solution_path(series, cands, config)
+                with monkeypatch.context() as m:
+                    m.setattr(rankseg.selector, "norm_value", one_by_one)
+                    single = solution_path(series, cands, config)
+                assert batched == single, (model, seed)
+        assert tied_cases >= 6
+
     def test_peak_memory_of_a_long_path(self):
         # T1(6000) with its 199 sweep candidates and Q = 300: a (T + 1) x Q
         # table alone would take 6.9 MiB
