@@ -18,8 +18,8 @@ length.
   the kept levels; their byte guards still use the configured Q, so whether
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels,
-  at every time ``0..T`` for the scan or at a few cut times for the
-  solution path, which reads only its candidates and the two ends. Its two
+  at every time ``0..T`` for the scan, filled a block of rows at a time as
+  reads reach it, or at the solution path's candidates and ends. Its
   builds, its kernel and its bound work in blocks of at most 256 KiB of
   integers (``_ROW_BYTES``), so temporaries stay in cache. The kernel
   (``_contrast``, where its block rule is written out) turns prefix lookups
@@ -29,9 +29,9 @@ length.
   ``(s, e, b)`` triple or a batch of them and forms the same integer
   numerator and factor, so its rows, on a cut table or the full one, equal
   the profile's bit for bit. ``_coarse_bound`` bounds every split's norm
-  from a few coarse columns, in the same integers, for the scan to skip
-  the intervals that cannot fire. ``indicator_sd`` is the per-level
-  rescale deviation, read off the table's column totals.
+  from a few coarse columns, counted from the ranks in the same integers,
+  for the scan to skip the intervals that cannot fire. ``indicator_sd`` is
+  the per-level rescale deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
   along the last axis, weighting columns by their multiplicities when given,
   and ``norm_value`` is its validated public form.
@@ -291,13 +291,15 @@ class CusumTable:
     ``0 = c_0 < c_1 < .. < c_m = T`` (1-based time), with ``r`` the series'
     ranks and ``k_j`` its levels, so any interval CUSUM row whose ends and
     split are cuts is three prefix lookups. By default every time ``0..T`` is
-    a cut: the ``(T + 1) x Q`` table the scan profiles every split of, built
-    in O(T * Q). Given fewer ``cuts`` (they must include 0 and T), the table
-    holds only their rows, counted per gap between cuts and level in
-    O(T log Q + m * Q); the solution path builds one at its candidates. A
-    time that is not a cut raises ``ValueError``. A level above ``T`` raises
-    ``ValueError``: the set was built for another series. So does a table
-    larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
+    a cut: the ``(T + 1) x Q`` table the scan profiles splits of, allocated
+    at once and filled one block of the kernel's rows at a time, when a read
+    first reaches it; ``prefix`` fills it all, in O(T * Q). Given fewer
+    ``cuts`` (they must include 0 and T), the table holds only their rows,
+    counted per gap between cuts and level in O(T log Q + m * Q); the
+    solution path builds one at its candidates. A time that is not a cut
+    raises ``ValueError``. A level above ``T`` raises ``ValueError``: the
+    set was built for another series. So does a table larger than
+    ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
     _ROW_BYTES = 2**18  # integer bytes per block of the kernel, the bound and both builds
@@ -310,8 +312,12 @@ class CusumTable:
         if k[-1] > T:
             raise ValueError(f"evaluation level {k[-1]} exceeds the series length {T}")
         self.length = T
+        # r_t at index t, so row 0 counts at no level; int32 compares run faster
+        dtype = _numerator_dtype(T + 1)
+        self._ranks, self._levels = np.concatenate(([T + 1], r), dtype=dtype), k.astype(dtype)
         self._cut_row = None  # time -> row of prefix; None when every time is a cut
         self._coarse = {}  # coarse column count -> (coarse table, gap starts, gap weights)
+        self._missing = 0  # blocks of the full table not filled yet
         if cuts is not None:
             cuts = tuple(_check_int("cut times", t) for t in cuts)
             if cuts[:1] != (0,) or cuts[-1:] != (T,):
@@ -319,19 +325,50 @@ class CusumTable:
             cuts = (0, *_check_positions(cuts[1:-1], T, "cut times"), T)
             if len(cuts) == T + 1:
                 cuts = None
+        self._cuts = np.arange(T + 1) if cuts is None else np.asarray(cuts)
+        _check_bytes("a prefix table", T, Q, self._cuts.size * Q * 4)
         if cuts is None:
-            _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
-            prefix = np.zeros((T + 1, Q), dtype=np.int32)
-            step = max(1, self._ROW_BYTES // (T * 4))
-            for q0 in range(0, Q, step):
-                cols = slice(q0, q0 + step)
-                ind = r[:, None] <= k[None, cols]
-                np.cumsum(ind, axis=0, dtype=np.int32, out=prefix[1:, cols])
+            self._prefix = np.empty((T + 1, Q), dtype=np.int32)
+            self._block = max(1, self._ROW_BYTES // (4 * Q))
+            self._filled = [False] * -(-(T + 1) // self._block)
+            self._missing = len(self._filled)
+            self._col = None  # searchsorted(levels, ranks), once a block needs a base
         else:
-            _check_bytes("a prefix table", T, Q, len(cuts) * Q * 4)
-            prefix = self._cut_counts(np.searchsorted(k, r), np.asarray(cuts), Q)
+            self._prefix = self._cut_counts(np.searchsorted(k, r), self._cuts, Q)
             self._cut_row = {t: i for i, t in enumerate(cuts)}
-        self.prefix = prefix
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """The whole table, every block filled, as a read-only view."""
+        full = self._fill(0, self._prefix.shape[0])
+        full.flags.writeable = False
+        return full
+
+    def _fill(self, lo: int, hi: int) -> np.ndarray:
+        """The rows ``lo..hi-1``, after filling their blocks not yet filled.
+
+        A block's indicators are summed in place onto its base, the row before
+        it: read there when filled, else a ``bincount`` of earlier time columns.
+        """
+        if self._missing:
+            step, r, k = self._block, self._ranks, self._levels
+            for b in range(lo // step, (hi - 1) // step + 1):
+                if self._filled[b]:
+                    continue
+                i0 = b * step
+                rows = self._prefix[i0 : i0 + step]
+                np.less_equal(r[i0 : i0 + rows.shape[0], None], k, out=rows)
+                if b and self._filled[b - 1]:
+                    rows[0] += self._prefix[i0 - 1]
+                elif b:
+                    if self._col is None:
+                        self._col = np.searchsorted(k, r)
+                    counts = np.bincount(self._col[:i0], minlength=k.size + 1)
+                    rows[0] += np.cumsum(counts[:-1], dtype=np.int32)
+                np.cumsum(rows, axis=0, out=rows)
+                self._filled[b] = True
+                self._missing -= 1
+        return self._prefix[lo:hi]
 
     @classmethod
     def _cut_counts(cls, col: np.ndarray, cuts: np.ndarray, Q: int) -> np.ndarray:
@@ -379,7 +416,7 @@ class CusumTable:
         ``p < 0.1`` or ``p > 0.9``; dividing contrasts by an unclamped
         near-zero deviation would inflate them spuriously.
         """
-        p = self.prefix[-1] / self.length
+        p = self._fill(self._cuts.size - 1, self._cuts.size)[0] / self.length
         return np.where((p < 0.1) | (p > 0.9), 0.3, np.sqrt(p * (1.0 - p)))
 
     def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
@@ -413,10 +450,10 @@ class CusumTable:
         """
         n = e - s + 1
         dtype = _numerator_dtype(n * e)
-        prefix = self.prefix
-        base = prefix[self._at(s - 1)]
-        total = np.subtract(prefix[self._at(e)], base, dtype=dtype)
-        shift = self._at(lo) - lo  # the splits lo..hi-1 are consecutive rows
+        at_s, at_e, at_lo = self._at(s - 1), self._at(e), self._at(lo)
+        base = self._fill(at_s, at_s + 1)[0]
+        total = np.subtract(self._fill(at_e, at_e + 1)[0], base, dtype=dtype)
+        prefix = self._fill(at_lo, at_lo + hi - lo)  # the splits lo..hi-1 are consecutive rows
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = _split_factor(n, n1)
         out = np.empty((hi - lo, prefix.shape[1]))
@@ -428,7 +465,7 @@ class CusumTable:
             b1 = min(b0 + step, hi)
             rows = slice(b0 - lo, b1 - lo)
             part = numerator[: b1 - b0]
-            np.multiply(prefix[b0 + shift : b1 + shift], n, dtype=dtype, out=part)
+            np.multiply(prefix[rows], n, dtype=dtype, out=part)
             offset = np.multiply(total, b0 - lo, dtype=dtype)  # n * P_{s-1} + d * t
             offset += nbase
             part -= offset
@@ -491,7 +528,9 @@ class CusumTable:
         dtype = _numerator_dtype(max(map(operator.mul, n, e), default=0))
         # the weights of P_{s-1}, P_b and P_e: -n2, n and -n1
         weights = np.array([[j - i for i, j in zip(n, n1)], n, [-j for j in n1]], dtype)
-        gathered = self.prefix.take(rows, axis=0).reshape(3, len(n), self.prefix.shape[1])
+        for i in rows if self._missing else ():
+            self._fill(i, i + 1)
+        gathered = self._prefix.take(rows, axis=0).reshape(3, len(n), self._levels.size)
         terms = np.multiply(gathered, weights[..., None], dtype=dtype)
         numerator = terms[1]
         numerator += terms[0]
@@ -507,8 +546,9 @@ class CusumTable:
 
         The coarse columns are every ``ceil(Q / columns)``-th column and the
         last, after a virtual level 0 (``c = d = 0``), in a table of their
-        own built on the first call with that count. Every indicator column
-        is monotone in its level, so between two coarse columns ``g < h``
+        own, counted from the ranks at the table's cut times (``_cut_counts``)
+        on the first call with that count. Every indicator column is
+        monotone in its level, so between two coarse columns ``g < h``
         the pre-split count ``c`` and the post-split count ``d`` of any level
         lie between their values at ``g`` and ``h``, and the numerator
         ``n2 c - n1 d`` of :meth:`_contrast` lies in
@@ -522,11 +562,13 @@ class CusumTable:
         ``[s - 1, e]`` must be a cut.
         """
         if columns not in self._coarse:
-            Q = self.prefix.shape[1]
+            Q = self._levels.size
             step = -(-Q // columns)
             starts = np.r_[0, np.arange(step, Q, step)]  # each gap's first level
-            coarse = np.zeros((starts.size + 1, self.prefix.shape[0]), np.int32)
-            coarse[1:] = self.prefix[:, np.r_[starts[1:] - 1, Q - 1]].T  # a row per column
+            levels = self._levels[np.r_[starts[1:] - 1, Q - 1]]  # each gap's last level
+            col = np.searchsorted(levels, self._ranks[1:])
+            coarse = np.zeros((levels.size + 1, self._cuts.size), np.int32)
+            coarse[1:] = self._cut_counts(col, self._cuts, levels.size).T  # a row per column
             self._coarse[columns] = coarse, starts, np.diff(starts, append=Q) / Q
         coarse, starts, weights = self._coarse[columns]
         if counts is not None and kind is not Norm.LINF:  # the gaps' shares of the levels

@@ -12,10 +12,11 @@ table and the threshold are fixed within a window, so an interval profiled
 without firing stays quiet: it joins the quiet set at once and is not
 profiled again, in this pass (the trailing repeat of the full interval) or a
 later one. On a large enough interval an exact upper bound on every split's
-norm, read from a few coarse columns of the table
+norm, from a few coarse levels counted off the ranks
 (``CusumTable._coarse_bound``), comes first: an interval whose bound stays
 below the threshold is quiet without a profile, and otherwise only the
-splits whose bound clears it are profiled.
+splits whose bound clears it are profiled, so the table fills only the
+blocks of rows those profiles read.
 ``intervals_evaluated`` still counts every interval of the isolation order,
 skipped or not.
 """

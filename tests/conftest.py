@@ -65,6 +65,12 @@ def thresholds_of(values, eval_points):
     return np.sort(np.asarray(values, dtype=float))[eval_points.levels - 1]
 
 
+def naive_prefix(ranks, levels):
+    """The whole ``(T + 1) x Q`` prefix table: a zero row, then ``cumsum(r[:, None] <= k)``."""
+    r, k = np.asarray(ranks), np.asarray(levels)
+    return np.vstack([np.zeros((1, k.size), int), np.cumsum(r[:, None] <= k[None, :], axis=0)])
+
+
 def sorted_st_likelihood(values, breakpoints=()):
     """S_T by sorting every segment and binary-searching the order statistics."""
     x = np.asarray(values, dtype=float)

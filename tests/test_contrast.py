@@ -23,6 +23,7 @@ from conftest import (
     ecdf,
     float_contrast,
     levels_of,
+    naive_prefix,
     naive_cusum,
     naive_norm,
     naive_profile,
@@ -718,8 +719,9 @@ class TestCusumTable:
     @pytest.mark.parametrize("q", [1, 7, 300, "T"])
     def test_prefix_equals_float_comparison_on_ties(self, rng, q, monkeypatch):
         # the rank build reproduces the float build x_t <= x_(k) exactly, at
-        # the default column passes, at one column per pass, and at three
-        # columns per pass, which leaves Q = 7 a last pass of one column
+        # the default row blocks, at one row per block, and at three rows
+        # per block at Q = T, which leaves a short last block unless 3
+        # divides T + 1
         default = CusumTable._ROW_BYTES
         for _ in range(5):
             x = rng.integers(0, 9, int(rng.integers(2, 400))).astype(float)
@@ -730,6 +732,79 @@ class TestCusumTable:
             for row_bytes in (default, 4, 3 * T * 4):
                 monkeypatch.setattr(CusumTable, "_ROW_BYTES", row_bytes)
                 assert np.array_equal(CusumTable(x, ep).prefix, want)
+
+
+class TestLazyFill:
+    """The full table fills a block of rows when a read first reaches it.
+
+    Every read of a lazy table equals that of a table filled at once, bit
+    for bit, and fills exactly the blocks of the rows it reads; whatever is
+    filled, and then ``prefix``, equals ``conftest.naive_prefix``.
+    """
+
+    def check(self, rng, x, points, reads):
+        T = len(x)
+        lazy, eager = CusumTable(x, points), CusumTable(x, points)
+        want = naive_prefix(Series(x).ranks, points.levels)
+        assert np.array_equal(eager.prefix, want)
+        B = lazy._block
+        # times on and beside the block edges, so intervals start and end there
+        edges = sorted({min(max(j * B + d, 1), T) for j in range(T // B + 2) for d in (-1, 0, 1)})
+        filled = set()
+        wide = int(rng.integers(reads))  # the read of the whole interval [1, T]
+        for i in range(reads):
+            pick = 0 if i == wide else int(rng.integers(1, 4))
+            if pick == 3:
+                rows = [T]
+                got, ref = lazy.indicator_sd, eager.indicator_sd
+            elif pick == 2:
+                m = int(rng.integers(1, 4))
+                s = rng.integers(1, T, m)
+                b = [int(rng.integers(i, T)) for i in s]
+                e = [int(rng.integers(i + 1, T + 1)) for i in b]
+                rows = [*(s - 1).tolist(), *b, *e]
+                got, ref = lazy.row(s, e, b), eager.row(s, e, b)
+            else:
+                ends = sorted(set(edges) | set(rng.integers(1, T + 1, 4).tolist()))
+                s, e = (1, T) if pick == 0 else sorted(rng.choice(ends, 2, replace=False).tolist())
+                lo = int(rng.choice([t for t in ends if s <= t < e]))
+                hi = int(rng.choice([t for t in ends if lo < t <= e]))
+                rows = [s - 1, e, *range(lo, hi)]
+                got, ref = lazy.profile_matrix(s, e, lo, hi), eager.profile_matrix(s, e, lo, hi)
+            assert np.array_equal(got, ref)
+            filled |= {i // B for i in rows}
+            assert {b for b, done in enumerate(lazy._filled) if done} == filled
+            for b in filled:
+                assert np.array_equal(lazy._prefix[b * B : (b + 1) * B], want[b * B : (b + 1) * B])
+        assert lazy._missing == len(lazy._filled) - len(filled)
+        assert np.array_equal(lazy.prefix, want)
+        assert lazy._missing == 0 and not lazy.prefix.flags.writeable
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("rows", [1, 3], ids=["4-bytes", "3Q-4-bytes"])
+    def test_small_blocks(self, rng, ties, rows, monkeypatch):
+        # one or three rows per block; T + 1 a multiple of the block or not
+        for T in (2, 3, 4, 5, 40, 41, 42, 119, 120):
+            x = random_series(rng, max_len=T, min_len=T, ties=ties)
+            points = grid_points(x, T if T % 2 else int(rng.integers(1, T + 1)))
+            if ties:
+                points = _distinct_levels(Series(x), points)[0]
+            monkeypatch.setattr(CusumTable, "_ROW_BYTES", 4 if rows == 1 else 3 * len(points) * 4)
+            assert CusumTable(x, points)._block == rows
+            self.check(rng, x, points, reads=30)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("T", [8191, 9000, 47_000, 49_151])
+    def test_default_blocks(self, rng, ties, T):
+        # 4096 rows per block at 16 levels: T + 1 is 2 and 12 blocks at 8191
+        # and 49,151, not a multiple at 9000 and 47,000; the last two take the
+        # kernel's int64 branch on [1, T]. Tied values come in pairs
+        x = rng.standard_normal(T)
+        x = np.repeat(x[: T // 2 + 1], 2)[:T] if ties else x
+        points = grid_points(x, 16)
+        assert CusumTable(x, points)._block == 4096
+        assert (T * T >= 2**31) == (T > 46_340)
+        self.check(rng, x, points, reads=12)
 
 
 class TestRanks:

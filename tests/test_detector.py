@@ -648,6 +648,32 @@ class TestQuietMemo:
         seg = run()
         assert (len(profiled), seg.intervals_evaluated) == (calls, intervals)
 
+    @pytest.mark.parametrize(
+        "model, stop, filled",
+        [
+            # the bound skips 130 of 134 intervals, and the rest read 3 blocks
+            ("NOCHANGE_GAUSS", "threshold", (3, 16)),
+            # 11 kept levels: one block holds all 1001 rows
+            ("NOCHANGE_POIS", "threshold", (1, 1)),
+            # the bic scan reads every block of its window
+            ("MM_GAUSS", "bic", (3, 3)),
+        ],
+    )
+    def test_filled_blocks_pinned(self, monkeypatch, model, stop, filled):
+        # the scan's table fills only the blocks of rows its reads reach
+        tables = []
+        init = CusumTable.__init__
+
+        def kept(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tables.append(self)
+
+        monkeypatch.setattr(CusumTable, "__init__", kept)
+        length = 1000 if model.startswith("NOCHANGE") else None
+        segment(generate(ModelSpec(model, 0, length=length)).values, DetectorConfig(stop=stop))
+        dense = [t for t in tables if t._cut_row is None]
+        assert [(sum(t._filled), len(t._filled)) for t in dense] == [filled]
+
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("stop", ["threshold", "bic"])
     def test_matches_memo_free_scan(self, profiled, norm, stop):
@@ -749,6 +775,24 @@ class TestRowBound:
             detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=T)))
             assert bool(bounded) == (T == _BOUND_MIN_LEVELS), T
             assert all(e - s >= _BOUND_MIN_ROWS for s, e in bounded)
+
+    def test_coarse_columns_are_table_columns(self):
+        # counted from the ranks, without filling a row of the full table,
+        # the coarse columns are its columns at each gap's last level, after
+        # a zero column, on the full table and on a cut table
+        series = Series(tied(steps(700, [200, 450], 9)))
+        points, counts = _distinct_levels(series, grid_points(series, 700))
+        cuts = [0, 50, *range(99, 601), 650, 700]
+        dense, cut = CusumTable(series, points), CusumTable(series, points, cuts)
+        for table in (dense, cut):
+            table._coarse_bound(100, 600, Norm.LINF, counts, 16)
+        assert not any(dense._filled)
+        Q = len(points)
+        step = -(-Q // 16)
+        last = [*range(step - 1, Q - 1, step), Q - 1]
+        want = np.vstack([np.zeros(701, int), dense.prefix[:, last].T])
+        assert np.array_equal(dense._coarse[16][0], want)
+        assert np.array_equal(cut._coarse[16][0], want[:, cuts])
 
     def test_reads_cut_rows_in_blocks(self, monkeypatch):
         # a cut table holding [s - 1, e] gives the dense table's bound, and so
