@@ -23,9 +23,9 @@ from conftest import (
     ecdf,
     float_contrast,
     levels_of,
-    naive_prefix,
     naive_cusum,
     naive_norm,
+    naive_prefix,
     naive_profile,
     random_series,
     rescale_sd,
@@ -760,8 +760,8 @@ class TestLazyFill:
             elif pick == 2:
                 m = int(rng.integers(1, 4))
                 s = rng.integers(1, T, m)
-                b = [int(rng.integers(i, T)) for i in s]
-                e = [int(rng.integers(i + 1, T + 1)) for i in b]
+                b = [int(rng.integers(t, T)) for t in s]
+                e = [int(rng.integers(t + 1, T + 1)) for t in b]
                 rows = [*(s - 1).tolist(), *b, *e]
                 got, ref = lazy.row(s, e, b), eager.row(s, e, b)
             else:
@@ -773,9 +773,9 @@ class TestLazyFill:
                 got, ref = lazy.profile_matrix(s, e, lo, hi), eager.profile_matrix(s, e, lo, hi)
             assert np.array_equal(got, ref)
             filled |= {i // B for i in rows}
-            assert {b for b, done in enumerate(lazy._filled) if done} == filled
-            for b in filled:
-                assert np.array_equal(lazy._prefix[b * B : (b + 1) * B], want[b * B : (b + 1) * B])
+            assert {j for j, done in enumerate(lazy._filled) if done} == filled
+            for j in filled:
+                assert np.array_equal(lazy._prefix[j * B : (j + 1) * B], want[j * B : (j + 1) * B])
         assert lazy._missing == len(lazy._filled) - len(filled)
         assert np.array_equal(lazy.prefix, want)
         assert lazy._missing == 0 and not lazy.prefix.flags.writeable
