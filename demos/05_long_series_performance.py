@@ -59,7 +59,9 @@ print(
     f"{time.perf_counter() - start:.2f}s"
 )
 
-# The no-change case is the worst case: every interval must be scanned.
+# No change is not the slow case: every interval is still visited, but the
+# scan's coarse bound clears most of them without a profile, so pure noise
+# runs faster than the T2(3000) series above.
 noise = np.random.default_rng(0).standard_normal(3000)
 elapsed, result = timed(noise)
 print(f"pure noise T=3000: {result.n_changepoints} found in {elapsed:.2f}s")

@@ -18,20 +18,21 @@ length.
   the kept levels; their byte guards still use the configured Q, so whether
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels,
-  at every time ``0..T`` for the scan, filled a block of rows at a time as
-  reads reach it, or at the solution path's candidates and ends. Its
-  builds, its kernel and its bound work in blocks of at most 256 KiB of
-  integers (``_ROW_BYTES``), so temporaries stay in cache. The kernel
-  (``_contrast``, where its block rule is written out) turns prefix lookups
-  into the weighted two-sample ECDF contrast, an exact integer numerator
-  scaled by one float per split. ``profile_matrix`` returns a range of
-  splits of an interval, all of them by default. ``row`` takes one
-  ``(s, e, b)`` triple or a batch of them and forms the same integer
-  numerator and factor, so its rows, on a cut table or the full one, equal
-  the profile's bit for bit. ``_coarse_bound`` bounds every split's norm
-  from a few coarse columns, counted from the ranks in the same integers,
-  for the scan to skip the intervals that cannot fire. ``indicator_sd`` is
-  the per-level rescale deviation, read off the table's column totals.
+  at every time ``0..T`` for the scan (the dense table), filled a block of
+  rows at a time as reads reach it, or at the solution path's candidates
+  and ends (a cut table). Its fills and cut counts, its kernel and its
+  bound work in blocks of at most 256 KiB of integers (``_ROW_BYTES``), so
+  temporaries stay in cache. The kernel (``_contrast``, where its block
+  rule is written out) turns prefix lookups into the weighted two-sample
+  ECDF contrast, an exact integer numerator scaled by one float per split.
+  ``profile_matrix`` returns a range of splits of an interval of the dense
+  table, all of them by default. ``row`` takes one ``(s, e, b)`` triple or
+  a batch of them and forms the same integer numerator and factor, so its
+  rows, on a cut table or the dense one, equal the profile's bit for bit.
+  ``_coarse_bound`` bounds every split's norm from a few coarse columns,
+  counted from the ranks in the same integers at every time, for the scan
+  to skip the intervals that cannot fire. ``indicator_sd`` is the per-level
+  rescale deviation, read off the table's column totals.
 - ``Norm`` names the three mean-dominant norms; ``_profile_norms`` applies one
   along the last axis, weighting columns by their multiplicities when given,
   and ``norm_value`` is its validated public form.
@@ -189,20 +190,6 @@ class Series:
         v = self.values
         return np.searchsorted(np.sort(v), v, "left") + 1
 
-    @cached_property
-    def _st_terms(self) -> dict[tuple[int, int], float]:
-        """The S_T segment terms by ``(a, b)``, filled by ``st_likelihood``."""
-        return {}
-
-    @cached_property
-    def _st_weights(self) -> np.ndarray:
-        """The S_T weights ``1 / (l (T - l))`` for ``l = 2..T-1``, read-only."""
-        T = self.values.size
-        l = np.arange(2.0, T)
-        weights = 1.0 / (l * (T - l))
-        weights.flags.writeable = False
-        return weights
-
 
 def as_series(data) -> Series:
     """Coerce an array-like (or pass through a ``Series``) to a ``Series``."""
@@ -291,15 +278,16 @@ class CusumTable:
     ``0 = c_0 < c_1 < .. < c_m = T`` (1-based time), with ``r`` the series'
     ranks and ``k_j`` its levels, so any interval CUSUM row whose ends and
     split are cuts is three prefix lookups. By default every time ``0..T`` is
-    a cut: the ``(T + 1) x Q`` table the scan profiles splits of, allocated
-    at once and filled one block of the kernel's rows at a time, when a read
-    first reaches it; ``prefix`` fills it all, in O(T * Q). Given fewer
-    ``cuts`` (they must include 0 and T), the table holds only their rows,
-    counted per gap between cuts and level in O(T log Q + m * Q); the
-    solution path builds one at its candidates. A time that is not a cut
-    raises ``ValueError``. A level above ``T`` raises ``ValueError``: the
-    set was built for another series. So does a table larger than
-    ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
+    a cut: the dense ``(T + 1) x Q`` table the scan profiles splits of,
+    allocated at once and filled one block of the kernel's rows at a time,
+    when a read first reaches it; ``prefix`` fills it all, in O(T * Q).
+    Given ``cuts`` (they must include 0 and T), the table holds only their
+    rows, counted per gap between cuts and level in O(T log Q + m * Q); the
+    solution path builds one at its candidates. A cut table serves ``row``,
+    ``indicator_sd`` and ``prefix``; ``profile_matrix`` on it, and a time
+    that is not a cut, raise ``ValueError``. A level above ``T`` raises
+    ``ValueError``: the set was built for another series. So does a table
+    larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
     _ROW_BYTES = 2**18  # integer bytes per block of the kernel, the bound and both builds
@@ -315,26 +303,23 @@ class CusumTable:
         # r_t at index t, so row 0 counts at no level; int32 compares run faster
         dtype = _numerator_dtype(T + 1)
         self._ranks, self._levels = np.concatenate(([T + 1], r), dtype=dtype), k.astype(dtype)
-        self._cut_row = None  # time -> row of prefix; None when every time is a cut
+        self._cut_row = None  # time -> row of prefix; None on the dense table
         self._coarse = {}  # coarse column count -> (coarse table, gap starts, gap weights)
-        self._missing = 0  # blocks of the full table not filled yet
-        if cuts is not None:
-            cuts = tuple(_check_int("cut times", t) for t in cuts)
-            if cuts[:1] != (0,) or cuts[-1:] != (T,):
-                raise ValueError(f"cut times must start at 0 and end at T={T}")
-            cuts = (0, *_check_positions(cuts[1:-1], T, "cut times"), T)
-            if len(cuts) == T + 1:
-                cuts = None
-        self._cuts = np.arange(T + 1) if cuts is None else np.asarray(cuts)
-        _check_bytes("a prefix table", T, Q, self._cuts.size * Q * 4)
+        self._missing = 0  # blocks of the dense table not filled yet
         if cuts is None:
+            _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
             self._prefix = np.empty((T + 1, Q), dtype=np.int32)
             self._block = max(1, self._ROW_BYTES // (4 * Q))
             self._filled = [False] * -(-(T + 1) // self._block)
             self._missing = len(self._filled)
             self._col = None  # searchsorted(levels, ranks), once a block needs a base
         else:
-            self._prefix = self._cut_counts(np.searchsorted(k, r), self._cuts, Q)
+            cuts = tuple(_check_int("cut times", t) for t in cuts)
+            if cuts[:1] != (0,) or cuts[-1:] != (T,):
+                raise ValueError(f"cut times must start at 0 and end at T={T}")
+            cuts = (0, *_check_positions(cuts[1:-1], T, "cut times"), T)
+            _check_bytes("a prefix table", T, Q, len(cuts) * Q * 4)
+            self._prefix = self._cut_counts(np.searchsorted(k, r), np.asarray(cuts), Q)
             self._cut_row = {t: i for i, t in enumerate(cuts)}
 
     @property
@@ -372,7 +357,7 @@ class CusumTable:
 
     @classmethod
     def _cut_counts(cls, col: np.ndarray, cuts: np.ndarray, Q: int) -> np.ndarray:
-        """The prefix rows at ``cuts`` from each time's first level column ``col``.
+        """A cut table's prefix rows at ``cuts``, from each time's first level column ``col``.
 
         Time ``t`` counts at the levels ``col[t - 1]`` and above
         (``searchsorted(levels, r_t)``; ``Q`` means none). One ``bincount``
@@ -416,11 +401,11 @@ class CusumTable:
         ``p < 0.1`` or ``p > 0.9``; dividing contrasts by an unclamped
         near-zero deviation would inflate them spuriously.
         """
-        p = self._fill(self._cuts.size - 1, self._cuts.size)[0] / self.length
+        p = self._fill(len(self._prefix) - 1, len(self._prefix))[0] / self.length
         return np.where((p < 0.1) | (p > 0.9), 0.3, np.sqrt(p * (1.0 - p)))
 
     def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
-        """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``.
+        """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``, from the dense table.
 
         Row ``b`` is, at every evaluation level ``k``::
 
@@ -450,10 +435,9 @@ class CusumTable:
         """
         n = e - s + 1
         dtype = _numerator_dtype(n * e)
-        at_s, at_e, at_lo = self._at(s - 1), self._at(e), self._at(lo)
-        base = self._fill(at_s, at_s + 1)[0]
-        total = np.subtract(self._fill(at_e, at_e + 1)[0], base, dtype=dtype)
-        prefix = self._fill(at_lo, at_lo + hi - lo)  # the splits lo..hi-1 are consecutive rows
+        base = self._fill(s - 1, s)[0]
+        total = np.subtract(self._fill(e, e + 1)[0], base, dtype=dtype)
+        prefix = self._fill(lo, hi)
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = _split_factor(n, n1)
         out = np.empty((hi - lo, prefix.shape[1]))
@@ -484,17 +468,17 @@ class CusumTable:
         interval, and must satisfy ``s <= lo < hi <= e``. Returns a float
         array of shape ``(hi - lo, Q)``; row ``i`` is the contrast at
         ``b = lo + i`` across all evaluation levels, bit for bit the row
-        ``b - s`` of the whole interval's profile. Every time in
-        ``[s - 1, e]`` must be a cut of the table.
+        ``b - s`` of the whole interval's profile. It reads the dense table:
+        on a cut table it raises ``ValueError``.
         """
+        if self._cut_row is not None:
+            raise ValueError("a profile reads the dense table, not a cut table")
         s, e = _check_int("s", s), _check_int("e", e)
         self._check(s, e)
         lo = s if lo is None else _check_int("lo", lo)
         hi = e if hi is None else _check_int("hi", hi)
         if not s <= lo < hi <= e:
             raise ValueError(f"need s <= lo < hi <= e, got s={s}, lo={lo}, hi={hi}, e={e}")
-        if self._at(e) - self._at(s - 1) != e - s + 1:
-            raise ValueError(f"a profile needs every time in [{s - 1}, {e}] as a cut")
         return self._contrast(s, e, lo, hi)
 
     def row(self, s, e, b) -> np.ndarray:
@@ -546,8 +530,9 @@ class CusumTable:
 
         The coarse columns are every ``ceil(Q / columns)``-th column and the
         last, after a virtual level 0 (``c = d = 0``), in a table of their
-        own, counted from the ranks at the table's cut times (``_cut_counts``)
-        on the first call with that count. Every indicator column is
+        own at every time ``0..T``, counted from the ranks as ``_fill`` counts
+        (a comparison, then a cumsum along time) on the first call with that
+        count, whatever the table's cut times. Every indicator column is
         monotone in its level, so between two coarse columns ``g < h``
         the pre-split count ``c`` and the post-split count ``d`` of any level
         lie between their values at ``g`` and ``h``, and the numerator
@@ -558,33 +543,30 @@ class CusumTable:
         split's factor, the largest ``B`` bounds ``linf``, and the mean of
         ``B`` (``B**2``) over the gaps, each weighted by its share of the
         levels, bounds ``l1`` (``l2``); ``counts`` are the multiplicities of
-        the table's levels, as in ``_profile_norms``. Every time in
-        ``[s - 1, e]`` must be a cut.
+        the table's levels, as in ``_profile_norms``.
         """
         if columns not in self._coarse:
             Q = self._levels.size
             step = -(-Q // columns)
             starts = np.r_[0, np.arange(step, Q, step)]  # each gap's first level
             levels = self._levels[np.r_[starts[1:] - 1, Q - 1]]  # each gap's last level
-            col = np.searchsorted(levels, self._ranks[1:])
-            coarse = np.zeros((levels.size + 1, self._cuts.size), np.int32)
-            coarse[1:] = self._cut_counts(col, self._cuts, levels.size).T  # a row per column
+            coarse = np.zeros((levels.size + 1, self.length + 1), np.int32)  # a row per column
+            np.cumsum(np.less_equal(self._ranks, levels[:, None]), axis=1, out=coarse[1:])
             self._coarse[columns] = coarse, starts, np.diff(starts, append=Q) / Q
         coarse, starts, weights = self._coarse[columns]
         if counts is not None and kind is not Norm.LINF:  # the gaps' shares of the levels
             weights = np.add.reduceat(counts, starts) / counts.sum()
         n = e - s + 1
         dtype = _numerator_dtype(n * e)
-        base = coarse[:, self._at(s - 1), None]
-        total = np.subtract(coarse[:, self._at(e), None], base, dtype=dtype)
-        shift = self._at(s) - s  # the splits s..e-1 are consecutive rows
+        base = coarse[:, s - 1, None]
+        total = np.subtract(coarse[:, e, None], base, dtype=dtype)
         n1 = np.arange(1, n, dtype=dtype)
         out = np.empty(n - 1)
         step = max(1, self._ROW_BYTES // (coarse.shape[0] * np.dtype(dtype).itemsize))
         for b0 in range(s, e, step):
             b1 = min(b0 + step, e)
             rows = slice(b0 - s, b1 - s)
-            c = np.subtract(coarse[:, b0 + shift : b1 + shift], base, dtype=dtype)
+            c = np.subtract(coarse[:, b0:b1], base, dtype=dtype)
             pre = c * (n - n1[rows])  # n2 c, under a row for level 0
             post = np.subtract(total, c, out=c)
             post *= n1[rows]  # n1 d

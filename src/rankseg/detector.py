@@ -282,11 +282,7 @@ class Segmentation:
 
 
 def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
-    """Consecutive 0-based window slices of length ``win >= 2``; the last ends at ``length``.
-
-    There are ``max(1, (length + win - win // 2) // win)`` windows, so a
-    tail shorter than half a window folds into the last one.
-    """
+    """The 0-based slices of the windows ``DetectorConfig.split = win`` describes."""
     count = max(1, (length + win - win // 2) // win)
     return [(i * win, (i + 1) * win) for i in range(count - 1)] + [((count - 1) * win, length)]
 
@@ -354,11 +350,9 @@ def _config(config) -> DetectorConfig:
 def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     """Estimate change-points with the thresholded expanding-interval scan.
 
-    A series of length ``T`` is cut into
-    ``max(1, (T + split - split // 2) // split)`` consecutive windows of
-    ``config.split`` points, the last ending at ``T`` (one window when
-    ``split`` is ``None``), each detected independently, with the
-    window-local estimates offset back to global positions. Whatever
+    The series is cut into the windows ``config.split`` describes (one
+    window when ``split`` is ``None``), each detected independently, with
+    the window-local estimates offset back to global positions. Whatever
     ``config.stop`` says, the scan stops on the threshold, and the result's
     config records that rule.
 

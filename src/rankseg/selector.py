@@ -17,6 +17,7 @@ repeats each over the order statistics between two of its sorted ranks.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -162,6 +163,25 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return p * np.log(p + (p == 0))
 
 
+def _st_term(r: np.ndarray, weights: np.ndarray, a: int, b: int) -> float:
+    """The S_T term of the segment ``(a, b]`` of the ranks ``r``, at the ``_st_weights``."""
+    T, n = r.size, b - a
+    f = np.arange(n + 1) / n
+    entropy = _xlogx(f) + _xlogx(1.0 - f)
+    # 0, the segment's sorted ranks, T + 1: the count is j on [r_(j), r_(j+1))
+    steps = np.empty(n + 2, np.int32 if T < 2**31 - 1 else np.int64)  # holds 0..T + 1
+    steps[0], steps[-1] = 0, T + 1
+    steps[1:-1] = r[a:b]
+    steps[1:-1].sort()
+    return n * float(weights @ np.repeat(entropy, np.diff(steps))[2:T])
+
+
+def _st_weights(T: int) -> np.ndarray:
+    """The S_T weights ``1 / (l (T - l))`` for ``l = 2..T-1``."""
+    l = np.arange(2.0, T)
+    return 1.0 / (l * (T - l))
+
+
 def st_likelihood(series, breakpoints=()) -> float:
     """Integrated profile log-likelihood of a candidate segmentation.
 
@@ -180,34 +200,18 @@ def st_likelihood(series, breakpoints=()) -> float:
     entropy by the gaps of ``0``, the sorted ranks and ``T + 1`` lays it out
     at every level ``0..T``: the same floats as a gather at the counts,
     with no length-``T`` count table. Always finite and <= 0; refining a
-    segmentation never decreases it. Each segment term is computed once per
-    ``Series``, in a memo on it keyed by ``(a, b)``, and the weights once
-    per ``Series`` too.
+    segmentation never decreases it. Each call computes the weights once
+    and every segment's term, and adds the terms left to right; nothing is
+    kept on the ``Series``.
     """
     series = as_series(series)
     r = series.ranks
     T = r.size
-    bpts = _check_positions(breakpoints, T, "breakpoints")
-
-    terms = series._st_terms
-    dtype = np.int32 if T < 2**31 - 1 else np.int64  # holds 0..T + 1
+    edges = (0, *_check_positions(breakpoints, T, "breakpoints"), T)
+    weights = _st_weights(T)
     total = 0.0
-    edges = (0, *bpts, T)
-    for key in zip(edges, edges[1:]):
-        term = terms.get(key)
-        if term is None:
-            a, b = key
-            n = b - a
-            f = np.arange(n + 1) / n
-            entropy = _xlogx(f) + _xlogx(1.0 - f)
-            # 0, the segment's sorted ranks, T + 1: the count is j on [r_(j), r_(j+1))
-            steps = np.empty(n + 2, dtype)
-            steps[0], steps[-1] = 0, T + 1
-            steps[1:-1] = r[a:b]
-            steps[1:-1].sort()
-            gathered = np.repeat(entropy, np.diff(steps))[2:T]
-            term = terms[key] = n * float(series._st_weights @ gathered)
-        total += term
+    for a, b in zip(edges, edges[1:]):
+        total += _st_term(r, weights, a, b)
     return T * total
 
 
@@ -219,19 +223,35 @@ def bic_penalty(length: int) -> float:
 def bic_select(series, path: SolutionPath) -> BicResult:
     """Pick the prefix of the solution path minimising the criterion.
 
-    Evaluates ``-st_likelihood + j * penalty`` for every ``j = 0..J`` and
-    returns the smallest minimiser. Through the ``Series`` term memo each
-    segment's term is computed once per call: 2J + 1 terms, each a sort of
-    the segment's ranks and an O(T) repeat, O(J * T) in all. A ``path``
-    that is not a ``SolutionPath`` raises ``ValueError``.
+    Evaluates ``-st_likelihood(series, path.model(j)) + j * penalty`` for
+    every ``j = 0..J`` and returns the smallest minimiser. ``j = 0`` is one
+    ``st_likelihood`` call; model ``j`` inserts the ``j``-th candidate and
+    replaces its parent segment's term by its two halves' terms, so each of
+    the 2J + 1 terms is computed once, O(J * T) in all. Each prefix adds its
+    terms left to right, as ``st_likelihood`` does, so every score is that
+    call's float. A ``path`` that is not a ``SolutionPath``, or holds an
+    entry that is not an integer in ``[1, T - 1]``, raises ``ValueError``.
     """
     if not isinstance(path, SolutionPath):
         raise ValueError(f"path must be a SolutionPath, got {type(path).__name__}")
     series = as_series(series)
-    penalty = bic_penalty(len(series))
-    scores = []
-    for j in range(len(path) + 1):
-        scores.append(-st_likelihood(series, path.model(j)) + j * penalty)
+    r = series.ranks
+    T = r.size
+    _check_positions(path.model(len(path)), T, "path entries")
+    weights = _st_weights(T)
+    likelihoods = [st_likelihood(series)]
+    edges, terms = [0, T], [0.0]  # the one term is replaced at the first split
+    for c in map(int, path.ordered):
+        i = bisect.bisect(edges, c)
+        edges.insert(i, c)
+        a, b = edges[i - 1], edges[i + 1]
+        terms[i - 1 : i] = [_st_term(r, weights, a, c), _st_term(r, weights, c, b)]
+        total = 0.0
+        for term in terms:
+            total += term
+        likelihoods.append(T * total)
+    penalty = bic_penalty(T)
+    scores = [-likelihood + j * penalty for j, likelihood in enumerate(likelihoods)]
     chosen = int(np.argmin(scores))
     return BicResult(chosen, tuple(scores), penalty, path.model(chosen))
 

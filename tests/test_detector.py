@@ -779,7 +779,7 @@ class TestRowBound:
     def test_coarse_columns_are_table_columns(self):
         # counted from the ranks, without filling a row of the full table,
         # the coarse columns are its columns at each gap's last level, after
-        # a zero column, on the full table and on a cut table
+        # a zero column, at every time, on the full table and on a cut table
         series = Series(tied(steps(700, [200, 450], 9)))
         points, counts = _distinct_levels(series, grid_points(series, 700))
         cuts = [0, 50, *range(99, 601), 650, 700]
@@ -792,18 +792,20 @@ class TestRowBound:
         last = [*range(step - 1, Q - 1, step), Q - 1]
         want = np.vstack([np.zeros(701, int), dense.prefix[:, last].T])
         assert np.array_equal(dense._coarse[16][0], want)
-        assert np.array_equal(cut._coarse[16][0], want[:, cuts])
+        assert np.array_equal(cut._coarse[16][0], want)
 
     def test_reads_cut_rows_in_blocks(self, monkeypatch):
-        # a cut table holding [s - 1, e] gives the dense table's bound, and so
-        # does a block of a few splits at a time
+        # a cut table gives the dense table's bound, at its cuts or not, and
+        # so does a block of a few splits at a time
         series = Series(tied(steps(700, [200, 450], 9)))
         points, counts = _distinct_levels(series, grid_points(series, 700))
         dense = CusumTable(series, points)
         cut = CusumTable(series, points, cuts=[0, 50, *range(99, 601), 650, 700])
-        with pytest.raises(ValueError, match="not a cut"):
-            cut._coarse_bound(40, 600, Norm.LINF, counts, 16)
         for kind in Norm:
+            assert np.array_equal(
+                cut._coarse_bound(40, 600, kind, counts, 16),
+                dense._coarse_bound(40, 600, kind, counts, 16),
+            )
             want = dense._coarse_bound(100, 600, kind, counts, 16)
             got = cut._coarse_bound(100, 600, kind, counts, 16)
             np.testing.assert_allclose(got, want, rtol=1e-15)

@@ -99,8 +99,8 @@ class TestStLikelihood:
             assert st_likelihood(x, bpts) == sorted_st_likelihood(x, bpts)
 
     def test_equals_sorted_oracle_on_every_path_prefix(self):
-        # segment fills the series' term memo; every later lookup and every
-        # criterion score must equal the uncached oracle bit for bit
+        # every criterion score of segment, and st_likelihood on every path
+        # prefix, must equal the sorted oracle bit for bit
         series = generate(ModelSpec("T1", 0))
         seg = segment(series)
         path = seg.path
@@ -126,20 +126,18 @@ class TestStLikelihood:
         x = generate(ModelSpec("T1", 0, length=length)).values
         seg = segment(x)
         assert len(calls) == 2 * terms == 2 * (2 * len(seg.path) + 1)
-        # an array carries no memo from one call to the next
+        # a second call computes every term again: nothing is kept between calls
         assert segment(x).bic == seg.bic
         assert len(calls) == 4 * terms
 
-    def test_weights_kept_once_per_series_read_only(self):
+    def test_keeps_nothing_on_the_series(self):
+        # the criterion's weights and terms live in the call: the series
+        # holds its fields and its cached ranks only
         series = generate(ModelSpec("T1", 0))
+        segment(series, DetectorConfig(stop="bic"))
+        assert set(vars(series)) == {"values", "truth", "ranks"}
         st_likelihood(series, (100, 200))
-        weights = series._st_weights
-        T = len(series)
-        l = np.arange(2.0, T)
-        assert np.array_equal(weights, 1.0 / (l * (T - l)))
-        assert not weights.flags.writeable
-        st_likelihood(series, (50, 100, 200))
-        assert series._st_weights is weights
+        assert set(vars(series)) == {"values", "truth", "ranks"}
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_short_segments_at_the_sentinels(self, rng, ties):
@@ -231,6 +229,13 @@ class TestBicSelect:
         # a list of positions once raised AttributeError on path.model
         with pytest.raises(ValueError, match="path must be a SolutionPath"):
             bic_select(np.arange(20.0), bad)
+
+    @pytest.mark.parametrize("entry", [0, 20, 5.0])
+    def test_path_entries_validated(self, entry):
+        # an entry outside [1, T - 1] or not an integer is no change-point
+        path = SolutionPath((7, entry), (1.0, 0.5))
+        with pytest.raises(ValueError, match="path entries must"):
+            bic_select(np.arange(20.0), path)
 
     def test_empty_path(self):
         result = bic_select(np.arange(20.0), SolutionPath((), ()))
