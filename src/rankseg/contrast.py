@@ -22,13 +22,13 @@ length.
   rows at a time as reads reach it, or at the solution path's candidates
   and ends (a cut table). Its fills and cut counts, its kernel and its
   bound work in blocks of at most 256 KiB of integers (``_ROW_BYTES``), so
-  temporaries stay in cache. The kernel (``_contrast``, where its block
-  rule is written out) turns prefix lookups into the weighted two-sample
-  ECDF contrast, an exact integer numerator scaled by one float per split.
+  temporaries stay in cache. One kernel turns prefix lookups into the
+  weighted two-sample ECDF contrast: ``_numerator`` (where it is written
+  out) forms the exact integer numerator, scaled by one float per split.
   ``profile_matrix`` returns a range of splits of an interval of the dense
   table, all of them by default. ``row`` takes one ``(s, e, b)`` triple or
-  a batch of them and forms the same integer numerator and factor, so its
-  rows, on a cut table or the dense one, equal the profile's bit for bit.
+  a batch of them, so its rows, on a cut table or the dense one, equal the
+  profile's bit for bit.
   ``_coarse_bound`` bounds every split's norm from a few coarse columns,
   counted from the ranks in the same integers at every time, for the scan
   to skip the intervals that cannot fire. ``indicator_sd`` is the per-level
@@ -129,6 +129,32 @@ def _numerator_dtype(largest: int) -> type:
 def _split_factor(n: int, n1: np.ndarray) -> np.ndarray:
     """``1 / sqrt(n * n1 * n2)``, the float factor of each split's integer numerator."""
     return 1.0 / np.sqrt(float(n) * n1 * (n - n1))
+
+
+def _numerator(n, n1, before, at_b, total, dtype) -> np.ndarray:
+    """The contrast's exact integer numerator ``n * (P_b - P_{s-1}) - n1 * (P_e - P_{s-1})``.
+
+    The contrast of ``[s, e]`` at split ``b`` and level ``k`` is::
+
+        sqrt(n1 * n2 / n) * (F_pre(x_(k)) - F_post(x_(k)))
+            = (n * c - n1 * t) / sqrt(n * n1 * n2)
+
+    with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1``, ``F_pre``,
+    ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``, and, from
+    the prefix counts ``P``, ``c = P_b - P_{s-1}`` the count of ``X_s..X_b``
+    at level ``k`` and ``t = P_e - P_{s-1}`` (``total``) that of the
+    interval. ``before`` and ``at_b`` are the rows ``P_{s-1}`` and ``P_b``;
+    ``n`` and ``n1`` broadcast against them, a column per split. The factor
+    ``1 / sqrt(n * n1 * n2)`` scales it into the float contrast, so equal
+    segment ECDFs give an integer 0 and a hard ``0.0``. Since ``c <= n1``
+    and ``t <= n``, every intermediate lies within ``n * n <= n * e``, and
+    ``dtype`` is ``_numerator_dtype(n * e)``: int32 while that fits, int64
+    beyond (from 46,341 on a window starting at 1).
+    """
+    numerator = np.subtract(at_b, before, dtype=dtype)
+    numerator *= n
+    numerator -= np.multiply(n1, total, dtype=dtype)
+    return numerator
 
 
 def _check_positions(positions, length: int, what: str) -> tuple[int, ...]:
@@ -407,55 +433,27 @@ class CusumTable:
     def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
         """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``, from the dense table.
 
-        Row ``b`` is, at every evaluation level ``k``::
-
-            sqrt(n1 * n2 / n) * (F_pre(x_(k)) - F_post(x_(k)))
-                = (c * n - n1 * t) / sqrt(n1 * n2 * n)
-
-        with ``n1 = b - s + 1``, ``n2 = e - b``, ``n = e - s + 1``, ``F_pre``,
-        ``F_post`` the ECDFs of ``X_s..X_b`` and ``X_{b+1}..X_e``, ``c`` the
-        count of ``X_s..X_b`` at level ``k`` and ``t`` that of the interval.
-        The numerator is computed exactly in integers and one float factor
-        per row then scales it into the float64 result. Equal segment ECDFs
-        give an integer 0 and so a hard ``0.0``.
-
+        Row ``b`` is ``_numerator`` at every level times ``_split_factor``.
         The result is allocated once and filled in blocks of rows whose
         integer numerator takes at most ``_ROW_BYTES`` (65 rows at Q = 1000
-        in int32), so the temporaries stay in cache. A block ``d`` rows after
-        ``lo`` is ``n * P_b - (n * P_{s-1} + d * t) - ramp``, with ``P`` the
-        prefix counts and ``ramp`` the first block's ``n1 * t``, built once
-        per call: the first block is ``d = 0``, and each block computes its
-        own Q-vector offset, not a new outer product. Each block is written
-        into one integer array, converted exactly into its rows of the
-        result and scaled there in place.
-
-        Every count read is at most ``e``, so every intermediate lies within
-        ``n * e``: the integers are int32 while that fits and int64 beyond
-        (from 46,341 on a window starting at 1).
+        in int32), so the temporaries stay in cache; each block's numerator
+        is converted exactly into its rows of the result and scaled there in
+        place.
         """
         n = e - s + 1
         dtype = _numerator_dtype(n * e)
-        base = self._fill(s - 1, s)[0]
-        total = np.subtract(self._fill(e, e + 1)[0], base, dtype=dtype)
+        before = self._fill(s - 1, s)[0]
+        total = np.subtract(self._fill(e, e + 1)[0], before, dtype=dtype)
         prefix = self._fill(lo, hi)
         n1 = np.arange(lo - s + 1, hi - s + 1, dtype=dtype)
         factor = _split_factor(n, n1)
         out = np.empty((hi - lo, prefix.shape[1]))
         step = max(1, self._ROW_BYTES // (prefix.shape[1] * np.dtype(dtype).itemsize))
-        ramp = np.multiply(n1[:step, None], total, dtype=dtype)
-        numerator = np.empty_like(ramp)
-        nbase = np.multiply(base, n, dtype=dtype)  # n * P_{s-1}
         for b0 in range(lo, hi, step):
-            b1 = min(b0 + step, hi)
-            rows = slice(b0 - lo, b1 - lo)
-            part = numerator[: b1 - b0]
-            np.multiply(prefix[rows], n, dtype=dtype, out=part)
-            offset = np.multiply(total, b0 - lo, dtype=dtype)  # n * P_{s-1} + d * t
-            offset += nbase
-            part -= offset
-            part -= ramp[: b1 - b0]
+            rows = slice(b0 - lo, min(b0 + step, hi) - lo)
             block = out[rows]
-            np.copyto(block, part)  # int -> float64 is exact up to 2**53
+            # int -> float64 is exact up to 2**53
+            np.copyto(block, _numerator(n, n1[rows, None], before, prefix[rows], total, dtype))
             block *= factor[rows, None]
         return out
 
@@ -487,8 +485,8 @@ class CusumTable:
         Integers give the ``Q``-vector that is row ``b - s`` of
         ``profile_matrix(s, e)``; equal-length 1-d integer sequences give an
         ``(m, Q)`` array of the rows ``row(s[i], e[i], b[i])``, by the same
-        code. Each row is the exact integer ``n * P_b - n1 * P_e - n2 * P_{s-1}``
-        (int32 while the largest ``n * e`` fits, int64 beyond) times
+        code. Each row is ``_numerator`` on the rows ``P_{s-1}``, ``P_b`` and
+        ``P_e`` (int32 while the largest ``n * e`` fits, int64 beyond) times
         ``1 / sqrt(n * n1 * n2)``, as in :meth:`_contrast`, so it equals the
         profile's row bit for bit. ``s - 1``, ``b`` and ``e`` must be cuts.
         """
@@ -510,15 +508,12 @@ class CusumTable:
         n = [j - i + 1 for i, j in zip(s, e)]
         n1 = [j - i + 1 for i, j in zip(s, b)]
         dtype = _numerator_dtype(max(map(operator.mul, n, e), default=0))
-        # the weights of P_{s-1}, P_b and P_e: -n2, n and -n1
-        weights = np.array([[j - i for i, j in zip(n, n1)], n, [-j for j in n1]], dtype)
         for i in rows if self._missing else ():
             self._fill(i, i + 1)
-        gathered = self._prefix.take(rows, axis=0).reshape(3, len(n), self._levels.size)
-        terms = np.multiply(gathered, weights[..., None], dtype=dtype)
-        numerator = terms[1]
-        numerator += terms[0]
-        numerator += terms[2]
+        before, at_b, at_e = self._prefix.take(rows, axis=0).reshape(3, len(n), self._levels.size)
+        total = np.subtract(at_e, before, dtype=dtype)
+        sizes = np.array([n, n1], dtype)[..., None]  # n and n1, a column per triple
+        numerator = _numerator(*sizes, before, at_b, total, dtype)
         factor = [1.0 / math.sqrt(float(i) * j * (i - j)) for i, j in zip(n, n1)]
         out = np.multiply(numerator, np.array(factor)[:, None])  # int -> float64 is exact
         return out if vector else out[0]
@@ -535,8 +530,8 @@ class CusumTable:
         count, whatever the table's cut times. Every indicator column is
         monotone in its level, so between two coarse columns ``g < h``
         the pre-split count ``c`` and the post-split count ``d`` of any level
-        lie between their values at ``g`` and ``h``, and the numerator
-        ``n2 c - n1 d`` of :meth:`_contrast` lies in
+        lie between their values at ``g`` and ``h``, and ``_numerator``,
+        ``n c - n1 t = n2 c - n1 d``, lies in
         ``[n2 c_g - n1 d_h, n2 c_h - n1 d_g]``. The larger absolute end
         ``B`` bounds every level of the gap. It is exact, in the kernel's
         integers, in blocks of splits of at most ``_ROW_BYTES``. Over the

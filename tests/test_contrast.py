@@ -454,9 +454,9 @@ class TestCusumTable:
         "T, q, s, B", [(4000, 64, 301, 1024), (50_000, 16, 5001, 2048)], ids=["int32", "int64"]
     )
     def test_blocks_after_the_first_with_a_base(self, rng, T, q, s, B):
-        # s > 1 makes the offset's n * P_{s-1} non-zero, and three or more
-        # blocks move it by d * t twice or more. The int64 window has n * e
-        # past 2**31 although n * (n - 1), the first block's bound, is not
+        # s > 1 makes P_{s-1} non-zero, so every block's P_b - P_{s-1} and
+        # P_e - P_{s-1} subtract a real base, over three or more blocks. The
+        # int64 window has n * e past 2**31 although n * (n - 1) is not
         x = rng.standard_normal(T)
         table = CusumTable(x, grid_points(x, q))
         n = T - s + 1
@@ -478,8 +478,8 @@ class TestCusumTable:
 
     def test_int32_edge(self, rng):
         # the longest window on int32: n * e = 46,340**2 = 2,147,395,600 is
-        # just below 2**31. Level T makes n * P_b and the offset d * t reach
-        # about n * e, and sixteen levels spread [1, T] over twelve blocks
+        # just below 2**31. Level T makes n * (P_b - P_0) and n1 * (P_e - P_0)
+        # reach about n * e, and sixteen levels spread [1, T] over twelve blocks
         T = 46_340
         assert T * T < 2**31 <= (T + 1) * (T + 1)
         x = rng.standard_normal(T)
