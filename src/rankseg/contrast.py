@@ -18,9 +18,9 @@ length.
   the kept levels; their byte guards still use the configured Q, so whether
   a call raises depends on T and Q only, never on the data.
 - ``CusumTable`` holds the prefix counts of the indicators at those levels,
-  at every time ``0..T`` for the scan (the dense table), filled a block of
-  rows at a time as reads reach it, or at the solution path's candidates
-  and ends (a cut table). Its fills and cut counts, its kernel and its
+  at every time ``0..T`` for the scan (the dense table) or at the solution
+  path's candidates and ends (a cut table); its docstring and
+  ``_cut_counts``'s say how each is counted. Its builds, its kernel and its
   bound work in blocks of at most 256 KiB of integers (``_ROW_BYTES``), so
   temporaries stay in cache. One kernel turns prefix lookups into the
   weighted two-sample ECDF contrast: ``_numerator`` (where it is written
@@ -126,9 +126,12 @@ def _numerator_dtype(largest: int) -> type:
     return np.int64 if largest >= 2**31 else np.int32
 
 
-def _split_factor(n: int, n1: np.ndarray) -> np.ndarray:
-    """``1 / sqrt(n * n1 * n2)``, the float factor of each split's integer numerator."""
-    return 1.0 / np.sqrt(float(n) * n1 * (n - n1))
+def _split_factor(n: int | np.ndarray, n1: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(n * n1 * n2)``, the float factor of each split's integer numerator.
+
+    ``n`` is an integer or an integer array that broadcasts against ``n1``.
+    """
+    return 1.0 / np.sqrt(np.float64(n) * n1 * (n - n1))
 
 
 def _numerator(n, n1, before, at_b, total, dtype) -> np.ndarray:
@@ -306,14 +309,16 @@ class CusumTable:
     split are cuts is three prefix lookups. By default every time ``0..T`` is
     a cut: the dense ``(T + 1) x Q`` table the scan profiles splits of,
     allocated at once and filled one block of the kernel's rows at a time,
-    when a read first reaches it; ``prefix`` fills it all, in O(T * Q).
-    Given ``cuts`` (they must include 0 and T), the table holds only their
-    rows, counted per gap between cuts and level in O(T log Q + m * Q); the
-    solution path builds one at its candidates. A cut table serves ``row``,
-    ``indicator_sd`` and ``prefix``; ``profile_matrix`` on it, and a time
-    that is not a cut, raise ``ValueError``. A level above ``T`` raises
-    ``ValueError``: the set was built for another series. So does a table
-    larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
+    when a read first reaches it, onto the block's base, the row before it;
+    ``prefix`` fills it all, in O(T * Q). Given ``cuts`` (they must include 0
+    and T), the table holds only their rows; the solution path builds one at
+    its candidates. One counter, ``_cut_counts``, counts a cut table's rows
+    and the dense table's block bases, when the table is built. A cut table
+    serves ``row``, ``indicator_sd`` and ``prefix``; ``profile_matrix`` on
+    it, and a time that is not a cut, raise ``ValueError``. A level above
+    ``T`` raises ``ValueError``: the set was built for another series. So
+    does a table larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything
+    is allocated.
     """
 
     _ROW_BYTES = 2**18  # integer bytes per block of the kernel, the bound and both builds
@@ -332,20 +337,22 @@ class CusumTable:
         self._cut_row = None  # time -> row of prefix; None on the dense table
         self._coarse = {}  # coarse column count -> (coarse table, gap starts, gap weights)
         self._missing = 0  # blocks of the dense table not filled yet
+        col = np.cumsum(np.bincount(k, minlength=T + 1))[r - 1]  # searchsorted(k, r)
         if cuts is None:
             _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
             self._prefix = np.empty((T + 1, Q), dtype=np.int32)
             self._block = max(1, self._ROW_BYTES // (4 * Q))
             self._filled = [False] * -(-(T + 1) // self._block)
             self._missing = len(self._filled)
-            self._col = None  # searchsorted(levels, ranks), once a block needs a base
+            bases = np.maximum(np.arange(self._missing) * self._block - 1, 0)
+            self._base = self._cut_counts(col, bases, Q)
         else:
             cuts = tuple(_check_int("cut times", t) for t in cuts)
             if cuts[:1] != (0,) or cuts[-1:] != (T,):
                 raise ValueError(f"cut times must start at 0 and end at T={T}")
             cuts = (0, *_check_positions(cuts[1:-1], T, "cut times"), T)
             _check_bytes("a prefix table", T, Q, len(cuts) * Q * 4)
-            self._prefix = self._cut_counts(np.searchsorted(k, r), np.asarray(cuts), Q)
+            self._prefix = self._cut_counts(col, np.asarray(cuts), Q)
             self._cut_row = {t: i for i, t in enumerate(cuts)}
 
     @property
@@ -358,39 +365,32 @@ class CusumTable:
     def _fill(self, lo: int, hi: int) -> np.ndarray:
         """The rows ``lo..hi-1``, after filling their blocks not yet filled.
 
-        A block's indicators are summed in place onto its base, the row before
-        it: read there when filled, else a ``bincount`` of earlier time columns.
+        Block ``b``'s indicators are summed in place onto its base ``_base[b]``,
+        in any read order.
         """
         if self._missing:
             step, r, k = self._block, self._ranks, self._levels
             for b in range(lo // step, (hi - 1) // step + 1):
-                if self._filled[b]:
-                    continue
-                i0 = b * step
-                rows = self._prefix[i0 : i0 + step]
-                np.less_equal(r[i0 : i0 + rows.shape[0], None], k, out=rows)
-                if b and self._filled[b - 1]:
-                    rows[0] += self._prefix[i0 - 1]
-                elif b:
-                    if self._col is None:
-                        self._col = np.searchsorted(k, r)
-                    counts = np.bincount(self._col[:i0], minlength=k.size + 1)
-                    rows[0] += np.cumsum(counts[:-1], dtype=np.int32)
-                np.cumsum(rows, axis=0, out=rows)
-                self._filled[b] = True
-                self._missing -= 1
+                if not self._filled[b]:
+                    rows = self._prefix[b * step : (b + 1) * step]
+                    np.less_equal(r[b * step : (b + 1) * step, None], k, out=rows)
+                    rows[0] += self._base[b]
+                    np.cumsum(rows, axis=0, out=rows)
+                    self._filled[b] = True
+                    self._missing -= 1
         return self._prefix[lo:hi]
 
     @classmethod
     def _cut_counts(cls, col: np.ndarray, cuts: np.ndarray, Q: int) -> np.ndarray:
-        """A cut table's prefix rows at ``cuts``, from each time's first level column ``col``.
+        """The prefix rows at ``cuts``, from each time's first level column ``col``.
 
-        Time ``t`` counts at the levels ``col[t - 1]`` and above
-        (``searchsorted(levels, r_t)``; ``Q`` means none). One ``bincount``
-        per block of gaps counts the times of gap ``(c_{i-1}, c_i]`` by
-        column, a cumsum across columns turns that into the gap's counts at
-        each level, and a cumsum across gaps into the prefix rows. The int64
-        counts of a block take at most ``_ROW_BYTES``.
+        These are a cut table's rows, or the dense table's block bases, in
+        O(T + m * Q) for ``m`` cuts. Time ``t`` counts at the levels
+        ``col[t - 1]`` and above (``searchsorted(levels, r_t)``; ``Q`` means
+        none). One ``bincount`` per block of gaps counts the times of gap
+        ``(c_{i-1}, c_i]`` by column, a cumsum across columns turns that into
+        the gap's counts at each level, and a cumsum across gaps into the
+        prefix rows. The int64 counts of a block take at most ``_ROW_BYTES``.
         """
         rows = cuts.size
         prefix = np.zeros((rows, Q), dtype=np.int32)
@@ -430,8 +430,17 @@ class CusumTable:
         p = self._fill(len(self._prefix) - 1, len(self._prefix))[0] / self.length
         return np.where((p < 0.1) | (p > 0.9), 0.3, np.sqrt(p * (1.0 - p)))
 
-    def _contrast(self, s: int, e: int, lo: int, hi: int) -> np.ndarray:
-        """Contrast rows of ``[s, e]`` for the splits ``b`` in ``[lo, hi)``, from the dense table.
+    def profile_matrix(
+        self, s: int, e: int, lo: int | None = None, hi: int | None = None
+    ) -> np.ndarray:
+        """CUSUM values for the splits ``b`` in ``[lo, hi)`` of ``[s, e]``.
+
+        ``lo`` and ``hi`` default to ``s`` and ``e``, every split of the
+        interval, and must satisfy ``s <= lo < hi <= e``. Returns a float
+        array of shape ``(hi - lo, Q)``; row ``i`` is the contrast at
+        ``b = lo + i`` across all evaluation levels, bit for bit the row
+        ``b - s`` of the whole interval's profile. It reads the dense table:
+        on a cut table it raises ``ValueError``.
 
         Row ``b`` is ``_numerator`` at every level times ``_split_factor``.
         The result is allocated once and filled in blocks of rows whose
@@ -440,6 +449,14 @@ class CusumTable:
         is converted exactly into its rows of the result and scaled there in
         place.
         """
+        if self._cut_row is not None:
+            raise ValueError("a profile reads the dense table, not a cut table")
+        s, e = _check_int("s", s), _check_int("e", e)
+        self._check(s, e)
+        lo = s if lo is None else _check_int("lo", lo)
+        hi = e if hi is None else _check_int("hi", hi)
+        if not s <= lo < hi <= e:
+            raise ValueError(f"need s <= lo < hi <= e, got s={s}, lo={lo}, hi={hi}, e={e}")
         n = e - s + 1
         dtype = _numerator_dtype(n * e)
         before = self._fill(s - 1, s)[0]
@@ -457,28 +474,6 @@ class CusumTable:
             block *= factor[rows, None]
         return out
 
-    def profile_matrix(
-        self, s: int, e: int, lo: int | None = None, hi: int | None = None
-    ) -> np.ndarray:
-        """CUSUM values for the splits ``b`` in ``[lo, hi)`` of ``[s, e]``.
-
-        ``lo`` and ``hi`` default to ``s`` and ``e``, every split of the
-        interval, and must satisfy ``s <= lo < hi <= e``. Returns a float
-        array of shape ``(hi - lo, Q)``; row ``i`` is the contrast at
-        ``b = lo + i`` across all evaluation levels, bit for bit the row
-        ``b - s`` of the whole interval's profile. It reads the dense table:
-        on a cut table it raises ``ValueError``.
-        """
-        if self._cut_row is not None:
-            raise ValueError("a profile reads the dense table, not a cut table")
-        s, e = _check_int("s", s), _check_int("e", e)
-        self._check(s, e)
-        lo = s if lo is None else _check_int("lo", lo)
-        hi = e if hi is None else _check_int("hi", hi)
-        if not s <= lo < hi <= e:
-            raise ValueError(f"need s <= lo < hi <= e, got s={s}, lo={lo}, hi={hi}, e={e}")
-        return self._contrast(s, e, lo, hi)
-
     def row(self, s, e, b) -> np.ndarray:
         """CUSUM vector at split ``b`` within ``[s, e]``, or one per triple.
 
@@ -487,7 +482,7 @@ class CusumTable:
         ``(m, Q)`` array of the rows ``row(s[i], e[i], b[i])``, by the same
         code. Each row is ``_numerator`` on the rows ``P_{s-1}``, ``P_b`` and
         ``P_e`` (int32 while the largest ``n * e`` fits, int64 beyond) times
-        ``1 / sqrt(n * n1 * n2)``, as in :meth:`_contrast`, so it equals the
+        ``_split_factor``, as in :meth:`profile_matrix`, so it equals the
         profile's row bit for bit. ``s - 1``, ``b`` and ``e`` must be cuts.
         """
         vector = isinstance(s, (list, tuple, np.ndarray))
@@ -513,9 +508,8 @@ class CusumTable:
         before, at_b, at_e = self._prefix.take(rows, axis=0).reshape(3, len(n), self._levels.size)
         total = np.subtract(at_e, before, dtype=dtype)
         sizes = np.array([n, n1], dtype)[..., None]  # n and n1, a column per triple
-        numerator = _numerator(*sizes, before, at_b, total, dtype)
-        factor = [1.0 / math.sqrt(float(i) * j * (i - j)) for i, j in zip(n, n1)]
-        out = np.multiply(numerator, np.array(factor)[:, None])  # int -> float64 is exact
+        # int -> float64 is exact
+        out = np.multiply(_numerator(*sizes, before, at_b, total, dtype), _split_factor(*sizes))
         return out if vector else out[0]
 
     def _coarse_bound(

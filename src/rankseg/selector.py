@@ -55,13 +55,16 @@ class SolutionPath:
 
     ``ordered[0]`` survived longest in the iterative removal;
     ``removal_scores[k]`` is the triplet norm value at which ``ordered[k]``
-    was pruned.
+    was pruned. The entries are stored as Python ints; a bool or non-integer
+    entry raises ``ValueError``, as do repeated entries.
     """
 
     ordered: tuple[int, ...]
     removal_scores: tuple[float, ...]
 
     def __post_init__(self):
+        ordered = tuple(_check_int("solution path entries", c) for c in self.ordered)
+        object.__setattr__(self, "ordered", ordered)
         if len(self.ordered) != len(self.removal_scores):
             raise ValueError("ordered and removal_scores must align")
         if len(set(self.ordered)) != len(self.ordered):
@@ -137,7 +140,7 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
             rows /= sd
         return norm_value(kind, rows, counts).tolist()
 
-    step = max(1, CusumTable._ROW_BYTES // (8 * table.prefix.shape[1]))
+    step = max(1, CusumTable._ROW_BYTES // (8 * len(eval_points)))
     scores = []
     for first in range(1, len(cuts) - 1, step):
         scores += triplet_scores(first, min(first + step, len(cuts) - 1))
@@ -241,7 +244,7 @@ def bic_select(series, path: SolutionPath) -> BicResult:
     weights = _st_weights(T)
     likelihoods = [st_likelihood(series)]
     edges, terms = [0, T], [0.0]  # the one term is replaced at the first split
-    for c in map(int, path.ordered):
+    for c in path.ordered:
         i = bisect.bisect(edges, c)
         edges.insert(i, c)
         a, b = edges[i - 1], edges[i + 1]

@@ -440,7 +440,7 @@ class TestCusumTable:
         lo = T // 6  # the rows lo .. lo + 2B stay inside [1, T)
         results = {}
         for m in (1, B - 1, B, B + 1, 2 * B + 1):
-            got = table._contrast(1, T, lo, lo + m)
+            got = table.profile_matrix(1, T, lo, lo + m)
             want = float_contrast(table.prefix, 1, T, lo, lo + m)
             assert got.shape == (m, 64)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -448,7 +448,7 @@ class TestCusumTable:
                 assert np.array_equal(table.row(1, T, lo + i), got[i])
             results[m] = got
         monkeypatch.setattr(CusumTable, "_ROW_BYTES", 2**40)
-        assert np.array_equal(table._contrast(1, T, lo, lo + 2 * B + 1), results[2 * B + 1])
+        assert np.array_equal(table.profile_matrix(1, T, lo, lo + 2 * B + 1), results[2 * B + 1])
 
     @pytest.mark.parametrize(
         "T, q, s, B", [(4000, 64, 301, 1024), (50_000, 16, 5001, 2048)], ids=["int32", "int64"]
@@ -473,7 +473,7 @@ class TestCusumTable:
             assert np.array_equal(table.row(s, T, s + i), got[i])
         # a profile that starts inside the interval has its first block there
         lo = s + B // 2
-        part = table._contrast(s, T, lo, lo + 3 * B)
+        part = table.profile_matrix(s, T, lo, lo + 3 * B)
         assert np.array_equal(part, got[lo - s : lo - s + 3 * B])
 
     def test_int32_edge(self, rng):
@@ -734,8 +734,9 @@ class TestLazyFill:
     """The full table fills a block of rows when a read first reaches it.
 
     Every read of a lazy table equals that of a table filled at once, bit
-    for bit, and fills exactly the blocks of the rows it reads; whatever is
-    filled, and then ``prefix``, equals ``conftest.naive_prefix``.
+    for bit, and fills exactly the blocks of the rows it reads; every block's
+    base, whatever is filled, and then ``prefix``, equal
+    ``conftest.naive_prefix``. The first read reaches the last block first.
     """
 
     def check(self, rng, x, points, reads):
@@ -744,12 +745,16 @@ class TestLazyFill:
         want = naive_prefix(Series(x).ranks, points.levels)
         assert np.array_equal(eager.prefix, want)
         B = lazy._block
+        # block j's base is the row before it, time j * B - 1 (zeros for j = 0)
+        for j in range(len(lazy._filled)):
+            assert np.array_equal(lazy._base[j], want[max(j * B - 1, 0)])
         # times on and beside the block edges, so intervals start and end there
         edges = sorted({min(max(j * B + d, 1), T) for j in range(T // B + 2) for d in (-1, 0, 1)})
         filled = set()
-        wide = int(rng.integers(reads))  # the read of the whole interval [1, T]
+        wide = int(rng.integers(1, reads))  # the read of the whole interval [1, T]
         for i in range(reads):
-            pick = 0 if i == wide else int(rng.integers(1, 4))
+            # the first read is row T alone: the last block before block 0
+            pick = 3 if i == 0 else 0 if i == wide else int(rng.integers(1, 4))
             if pick == 3:
                 rows = [T]
                 got, ref = lazy.indicator_sd, eager.indicator_sd

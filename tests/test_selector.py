@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from rankseg import (
     CusumTable,
     DetectorConfig,
     Norm,
+    Segmentation,
     StopRule,
     bic_penalty,
     bic_select,
@@ -232,10 +234,28 @@ class TestBicSelect:
 
     @pytest.mark.parametrize("entry", [0, 20, 5.0])
     def test_path_entries_validated(self, entry):
-        # an entry outside [1, T - 1] or not an integer is no change-point
-        path = SolutionPath((7, entry), (1.0, 0.5))
+        # an entry outside [1, T - 1] or not an integer is no change-point;
+        # SolutionPath itself rejects the non-integer
         with pytest.raises(ValueError, match="path entries must"):
-            bic_select(np.arange(20.0), path)
+            bic_select(np.arange(20.0), SolutionPath((7, entry), (1.0, 0.5)))
+
+    @pytest.mark.parametrize("entry", [1.5, True, np.float64(3.0)])
+    def test_path_entries_must_be_integers(self, entry):
+        # a float or bool entry was once stored as given
+        with pytest.raises(ValueError, match="solution path entries must be an integer"):
+            SolutionPath((entry,), (1.0,))
+
+    def test_path_entries_stored_as_ints(self):
+        # numpy integer entries once reached changepoints as np.int64, which
+        # the JSON document could not serialize
+        x = generate(ModelSpec("M1", 0)).values
+        path = SolutionPath(np.array([100, 40]), np.array([5.0, 1.0]))
+        result = bic_select(x, path)
+        assert result.changepoints == (100,) and type(result.changepoints[0]) is int
+        seg = Segmentation((100,), (5.0,), DetectorConfig(), len(x), path=path, bic=result)
+        document = json.loads(json.dumps(seg.to_dict()))
+        assert document["changepoints"] == [100] and document["solution_path"] == [100, 40]
+        assert path.ordered == (100, 40) and set(map(type, path.ordered)) == {int}
 
     def test_empty_path(self):
         result = bic_select(np.arange(20.0), SolutionPath((), ()))
