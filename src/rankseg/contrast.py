@@ -62,7 +62,8 @@ __all__ = [
 FULL = "full"
 GRID = "grid"
 
-# Largest table ((T + 1) * Q int32) or scan profile ((T - 1) * Q float64), in bytes.
+# Largest table ((T + 1) * Q int32, block bases included) or scan profile
+# ((T - 1) * Q float64), in bytes.
 MAX_TABLE_BYTES = 2**30
 
 
@@ -317,8 +318,8 @@ class CusumTable:
     serves ``row``, ``indicator_sd`` and ``prefix``; ``profile_matrix`` on
     it, and a time that is not a cut, raise ``ValueError``. A level above
     ``T`` raises ``ValueError``: the set was built for another series. So
-    does a table larger than ``MAX_TABLE_BYTES`` (1 GiB), before anything
-    is allocated.
+    does a table whose rows, block bases included, take more than
+    ``MAX_TABLE_BYTES`` (1 GiB), before anything is allocated.
     """
 
     _ROW_BYTES = 2**18  # integer bytes per block of the kernel, the bound and both builds
@@ -339,11 +340,12 @@ class CusumTable:
         self._missing = 0  # blocks of the dense table not filled yet
         col = np.cumsum(np.bincount(k, minlength=T + 1))[r - 1]  # searchsorted(k, r)
         if cuts is None:
-            _check_bytes("a prefix table", T, Q, (T + 1) * Q * 4)
-            self._prefix = np.empty((T + 1, Q), dtype=np.int32)
             self._block = max(1, self._ROW_BYTES // (4 * Q))
-            self._filled = [False] * -(-(T + 1) // self._block)
-            self._missing = len(self._filled)
+            self._missing = -(-(T + 1) // self._block)
+            # the table's rows and a base row per block
+            _check_bytes("a prefix table", T, Q, (T + 1 + self._missing) * Q * 4)
+            self._prefix = np.empty((T + 1, Q), dtype=np.int32)
+            self._filled = [False] * self._missing
             bases = np.maximum(np.arange(self._missing) * self._block - 1, 0)
             self._base = self._cut_counts(col, bases, Q)
         else:
@@ -527,12 +529,17 @@ class CusumTable:
         lie between their values at ``g`` and ``h``, and ``_numerator``,
         ``n c - n1 t = n2 c - n1 d``, lies in
         ``[n2 c_g - n1 d_h, n2 c_h - n1 d_g]``. The larger absolute end
-        ``B`` bounds every level of the gap. It is exact, in the kernel's
-        integers, in blocks of splits of at most ``_ROW_BYTES``. Over the
-        split's factor, the largest ``B`` bounds ``linf``, and the mean of
-        ``B`` (``B**2``) over the gaps, each weighted by its share of the
-        levels, bounds ``l1`` (``l2``); ``counts`` are the multiplicities of
-        the table's levels, as in ``_profile_norms``.
+        ``B`` bounds every level of the gap. When ``Q <= columns`` every
+        level is a coarse column of its own, and ``B`` is that level's own
+        numerator ``|n2 c - n1 d|``. It is exact, in the kernel's integers,
+        in blocks of splits of at most ``_ROW_BYTES``. Over the split's
+        factor, the largest ``B`` bounds ``linf``, and the mean of ``B``
+        (``B**2``) over the gaps, each weighted by its share of the levels,
+        bounds ``l1`` (``l2``); ``counts`` are the multiplicities of the
+        table's levels, as in ``_profile_norms``. With a column per level
+        the ``linf`` bound is the profile's norm bit for bit (one positive
+        factor per split, so the rounding is monotone); the ``l1`` and
+        ``l2`` bounds sum in another order and hold up to rounding.
         """
         if columns not in self._coarse:
             Q = self._levels.size
@@ -543,6 +550,7 @@ class CusumTable:
             np.cumsum(np.less_equal(self._ranks, levels[:, None]), axis=1, out=coarse[1:])
             self._coarse[columns] = coarse, starts, np.diff(starts, append=Q) / Q
         coarse, starts, weights = self._coarse[columns]
+        exact = starts.size == self._levels.size  # every level is a coarse column
         if counts is not None and kind is not Norm.LINF:  # the gaps' shares of the levels
             weights = np.add.reduceat(counts, starts) / counts.sum()
         n = e - s + 1
@@ -559,8 +567,11 @@ class CusumTable:
             pre = c * (n - n1[rows])  # n2 c, under a row for level 0
             post = np.subtract(total, c, out=c)
             post *= n1[rows]  # n1 d
-            bound = np.subtract(pre[1:], post[:-1])  # n2 c_h - n1 d_g
-            np.maximum(bound, np.subtract(post[1:], pre[:-1]), out=bound)  # n1 d_h - n2 c_g
+            if exact:  # |n2 c - n1 d| at each level
+                bound = np.abs(np.subtract(pre[1:], post[1:]))
+            else:
+                bound = np.subtract(pre[1:], post[:-1])  # n2 c_h - n1 d_g
+                np.maximum(bound, np.subtract(post[1:], pre[:-1]), out=bound)  # n1 d_h - n2 c_g
             if kind is Norm.LINF:
                 out[rows] = bound.max(axis=0)
             elif kind is Norm.L1:

@@ -16,7 +16,9 @@ norm, from a few coarse levels counted off the ranks
 (``CusumTable._coarse_bound``), comes first: an interval whose bound stays
 below the threshold is quiet without a profile, and otherwise only the
 splits whose bound clears it are profiled, so the table fills only the
-blocks of rows those profiles read.
+blocks of rows those profiles read. Under ``linf`` a long window that
+keeps few levels, such as count data, is bounded too: each level is then a
+coarse column, and the bound is the norm itself.
 ``intervals_evaluated`` still counts every interval of the isolation order,
 skipped or not.
 """
@@ -71,12 +73,16 @@ FULL_EVAL_MAX = 1000
 DEFAULT_GRID_SIZE = 300
 
 # Coarse columns of the scan's bound (``CusumTable._coarse_bound``) per norm.
-# The bound runs only on a window that keeps at least _BOUND_MIN_LEVELS
-# levels, and on an interval of at least _BOUND_MIN_ROWS splits. On fewer
-# levels it costs about what it saves (short continuous windows, T = 60-80,
-# read 5-16% slower with it); shorter intervals, such as T1's 15 and 30
-# splits, mostly fire, so bounding them adds work and skips nothing.
-# Measured choices: BENCH_bound.json.
+# The bound runs on a window that keeps at least _BOUND_MIN_LEVELS levels,
+# and on an interval of at least _BOUND_MIN_ROWS splits. On fewer levels it
+# costs about what it saves (short continuous windows, T = 60-80, read 5-16%
+# slower with it); shorter intervals, such as T1's 15 and 30 splits, mostly
+# fire, so bounding them adds work and skips nothing. Measured choices:
+# BENCH_bound.json. Under linf it also runs on a window of at least
+# _BOUND_MIN_LEVELS times that keeps at most 16 levels, as count data do:
+# each level is then a coarse column and the bound is the norm itself
+# (BENCH_narrow.json). l1 and l2 keep the level gate: on such windows their
+# bounds cost about as much as the profiles they replace.
 _BOUND_COLUMNS = {Norm.L1: 32, Norm.L2: 32, Norm.LINF: 16}
 _BOUND_MIN_LEVELS = 96
 _BOUND_MIN_ROWS = 32
@@ -301,7 +307,10 @@ def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     zeta = threshold(config.resolved_constant(), T)
     kind = config.norm
     columns = _BOUND_COLUMNS[kind]
-    bounded = len(eval_points) >= _BOUND_MIN_LEVELS
+    kept = len(eval_points)
+    bounded = kept >= _BOUND_MIN_LEVELS or (
+        kind is Norm.LINF and kept <= columns and T >= _BOUND_MIN_LEVELS
+    )
     quiet_below = zeta * (1 - 1e-12)  # the slack covers the bound's rounding
 
     found: dict[int, float] = {}

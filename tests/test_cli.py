@@ -227,7 +227,7 @@ class TestDetect:
         assert err.startswith("rankseg: error:") and "T=1000 and Q=1000" in err
 
     def test_profile_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
-        # at T = Q = 1000 the table (3.8 MiB) fits a 6 MiB budget and the
+        # at T = Q = 1000 the table (3.9 MiB) fits a 6 MiB budget and the
         # unsplit scan's full-interval profile (7.6 MiB) does not
         monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 6 * 2**20)
         path = tmp_path / "x.csv"

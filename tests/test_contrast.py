@@ -701,7 +701,8 @@ class TestCusumTable:
         assert CusumTable(x, EvalPoints([0, 5], "grid")).prefix[-1].tolist() == [0, 5]
 
     def test_over_budget_table_rejected(self, monkeypatch):
-        # (T + 1) * Q int32 counts: 4.0 MB at T = Q = 1000, 0.8 MB at Q = 200
+        # (T + 1) * Q int32 counts and a base row per block: 4.07 MB at
+        # T = Q = 1000 (16 blocks), 0.80 MB at Q = 200 (4 blocks)
         assert rankseg.contrast.MAX_TABLE_BYTES == 2**30
         monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 2**20)
         x = np.arange(1000.0)
@@ -711,6 +712,21 @@ class TestCusumTable:
         with pytest.raises(ValueError, match="integer grid"):
             CusumTable(x, grid_points(x, 300))
         assert CusumTable(x, grid_points(x, 200)).prefix.shape == (1001, 200)
+
+    def test_block_bases_counted_in_budget(self, monkeypatch):
+        # at Q = 70,000 a block is one row, so the bases take as much as the
+        # table: 53.7 MiB each at T = 200, 107 MiB together, and exactly
+        # (T + 1 + T + 1) * Q * 4 bytes at T = 20
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 80 * 2**20)
+        with pytest.raises(ValueError, match="T=200 and Q=70000 levels needs 107 MiB"):
+            CusumTable(np.arange(200.0), EvalPoints(np.repeat(np.arange(1, 201), 350), "grid"))
+        x, points = np.arange(20.0), EvalPoints(np.repeat(np.arange(1, 21), 3500), "grid")
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 42 * 70_000 * 4 - 1)
+        with pytest.raises(ValueError, match="T=20 and Q=70000 levels"):
+            CusumTable(x, points)
+        monkeypatch.setattr("rankseg.contrast.MAX_TABLE_BYTES", 42 * 70_000 * 4)
+        table = CusumTable(x, points)
+        assert table._prefix.nbytes == table._base.nbytes == 21 * 70_000 * 4
 
     @pytest.mark.parametrize("q", [1, 7, 300, "T"])
     def test_prefix_equals_float_comparison_on_ties(self, rng, q, monkeypatch):

@@ -26,6 +26,7 @@ from rankseg import (
 )
 from rankseg.contrast import _distinct_levels, _profile_norms
 from rankseg.detector import (
+    _BOUND_COLUMNS,
     _BOUND_MIN_LEVELS,
     _BOUND_MIN_ROWS,
     DEFAULT_CONSTANTS,
@@ -568,9 +569,10 @@ class TestDetect:
 class TestProfileBudget:
     """The scan's (T - 1) * Q float64 profile is bounded like the int32 table.
 
-    At T = Q = 1000 the table needs 1001 * 1000 * 4 bytes (3.8 MiB) and the
-    full-interval profile 999 * 1000 * 8 bytes (7.6 MiB): a 6 MiB budget
-    admits the first and refuses the second before it is allocated.
+    At T = Q = 1000 the table needs (1001 + 16) * 1000 * 4 bytes with its 16
+    block bases (3.9 MiB) and the full-interval profile 999 * 1000 * 8 bytes
+    (7.6 MiB): a 6 MiB budget admits the first and refuses the second
+    before it is allocated.
     """
 
     BUDGET = 6 * 2**20
@@ -641,8 +643,14 @@ class TestQuietMemo:
             (lambda: overestimate(generate(ModelSpec("T1", 0, length=3000))), 204, 369),
             # one quiet pass: the bound clears all but 4 of its intervals
             (lambda: detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=1000))), 4, 134),
+            # 11 kept levels under linf: the exact bound clears all 129
+            # intervals of 32 splits or more, 4 shorter ones are profiled
+            (lambda: detect(generate(ModelSpec("NOCHANGE_POIS", 0, length=1000))), 4, 134),
+            # 12 kept levels: 23 intervals bounded, 15 profiled (35 unbounded)
+            (lambda: segment(generate(ModelSpec("MM_POIS", 0))), 15, 54),
         ],
-        ids=["MM_GAUSS", "T1-3000-sweep", "NOCHANGE_GAUSS-1000"],
+        ids=["MM_GAUSS", "T1-3000-sweep", "NOCHANGE_GAUSS-1000", "NOCHANGE_POIS-1000",
+             "MM_POIS-bic"],
     )
     def test_profile_calls_pinned(self, profiled, run, calls, intervals):
         seg = run()
@@ -712,6 +720,30 @@ class TestQuietMemo:
         assert got.intervals_evaluated == n_scanned
 
 
+@pytest.fixture
+def bounded(monkeypatch):
+    """The ``(s, e)`` of every ``CusumTable._coarse_bound`` call, in order."""
+    calls = []
+    original = CusumTable._coarse_bound
+
+    def counted(self, s, e, *args):
+        calls.append((s, e))
+        return original(self, s, e, *args)
+
+    monkeypatch.setattr(CusumTable, "_coarse_bound", counted)
+    return calls
+
+
+def poisson_steps(length, jumps, seed):
+    """Poisson counts whose mean alternates between 2 and 5 at each jump.
+
+    The step series below keep 11-16 distinct values at T = 40-47,000, at
+    most the 16 coarse columns of the ``linf`` bound.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.poisson(np.where(np.searchsorted(jumps, np.arange(length), "right") % 2, 5.0, 2.0))
+
+
 def tied(x, scale=60.0):
     """``x`` rounded to multiples of ``1 / scale``, so values repeat.
 
@@ -725,6 +757,7 @@ class TestRowBound:
     """The coarse-column bound is an upper bound, and the scan stays exact with it."""
 
     def assert_bounds(self, x, q, spans, ties, columns=(4, 16, 32)):
+        """Check the bound on ``spans``; returns the number of kept levels."""
         series = Series(x)
         points, counts = _distinct_levels(series, grid_points(series, q))
         assert (counts is not None) == ties
@@ -735,46 +768,80 @@ class TestRowBound:
                     exact = _profile_norms(table.profile_matrix(s, e, lo, hi), kind, counts)
                     over = table._coarse_bound(s, e, kind, counts, n_columns)[lo - s : hi - s]
                     assert np.all(over >= exact * (1 - 1e-12)), (kind, n_columns, s, e)
+                    if len(points) > n_columns:
+                        continue
+                    # a column per level: linf is the norm bit for bit, l1
+                    # and l2 equal it up to rounding
+                    if kind is Norm.LINF:
+                        assert np.array_equal(over, exact), (n_columns, s, e)
+                    np.testing.assert_allclose(over, exact, rtol=1e-12, atol=0)
+        return len(points)
 
-    @pytest.mark.parametrize("ties", [False, True])
+    def assert_narrow_bounds(self, T, jumps, seed, spans):
+        # Poisson counts and a 12-level grid keep at most 16 levels, so with
+        # 16 and 32 columns every level is a coarse column of its own
+        kept = self.assert_bounds(poisson_steps(T, jumps, seed), T, spans, True)
+        assert kept <= 16
+        assert self.assert_bounds(steps(T, jumps, seed), 12, spans, False) == 12
+
+    @pytest.mark.parametrize("ties", [False, True, "narrow"])
     def test_bounds_every_row_int32(self, ties):
         rng = np.random.default_rng(5)
         for T in (40, 300, 700):
-            x = steps(T, [T // 3, T // 2], int(rng.integers(1000)))
-            x = tied(x) if ties else x
+            seed = int(rng.integers(1000))
             spans = []
             for _ in range(10):
                 s = int(rng.integers(1, T - 2))
                 e = int(rng.integers(s + 1, T + 1))
                 spans.append((s, e, s, e))
-            self.assert_bounds(x, T, spans + [(1, T, 1, T)], ties)
+            spans.append((1, T, 1, T))
+            if ties == "narrow":
+                self.assert_narrow_bounds(T, [T // 3, T // 2], seed, spans)
+            else:
+                x = steps(T, [T // 3, T // 2], seed)
+                self.assert_bounds(tied(x) if ties else x, T, spans, ties)
 
-    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("ties", [False, True, "narrow"])
     def test_bounds_every_row_int64(self, ties):
         # n * e >= 2**31 over the whole interval: the int64 branch of both
         # the bound and the kernel; a few split ranges are profiled exactly
         T = 47_000
         assert T * T >= 2**31
-        x = steps(T, [15_000, 30_000], 0)
-        x = tied(x, 2.0) if ties else x
         spans = [(1, T, lo, lo + 40) for lo in (1, 14_990, 23_480, T - 40)]
-        self.assert_bounds(x, 130, spans + [(20_000, T, 29_980, 30_020)], ties, columns=(16,))
+        spans.append((20_000, T, 29_980, 30_020))
+        if ties == "narrow":
+            self.assert_narrow_bounds(T, [15_000, 30_000], 0, spans)
+        else:
+            x = steps(T, [15_000, 30_000], 0)
+            self.assert_bounds(tied(x, 2.0) if ties else x, 130, spans, ties, columns=(16,))
 
-    def test_runs_from_the_level_gate_on(self, monkeypatch):
+    def test_runs_from_the_level_gate_on(self, bounded):
         # a window keeping fewer than _BOUND_MIN_LEVELS levels is never bounded
-        bounded = []
-        call = CusumTable._coarse_bound
-
-        def counted(self, s, e, *args):
-            bounded.append((s, e))
-            return call(self, s, e, *args)
-
-        monkeypatch.setattr(CusumTable, "_coarse_bound", counted)
         for T in (_BOUND_MIN_LEVELS - 1, _BOUND_MIN_LEVELS):
             bounded.clear()
             detect(generate(ModelSpec("NOCHANGE_GAUSS", 0, length=T)))
             assert bool(bounded) == (T == _BOUND_MIN_LEVELS), T
             assert all(e - s >= _BOUND_MIN_ROWS for s, e in bounded)
+
+    def test_runs_on_narrow_linf_windows_from_the_length_gate_on(self, bounded):
+        # a window keeping at most 16 levels is bounded under linf from
+        # _BOUND_MIN_LEVELS times on, and never under l1 or l2; Poisson(20)
+        # keeps 17 to 95 levels, between the two gates, and is not bounded
+        for T, rate, narrow in [
+            (_BOUND_MIN_LEVELS - 1, 3.0, True),
+            (_BOUND_MIN_LEVELS, 3.0, True),
+            (1000, 3.0, True),
+            (1000, 20.0, False),
+        ]:
+            x = generate(ModelSpec("NOCHANGE_POIS", 0, length=T, rate=rate))
+            kept = len(_distinct_levels(x, grid_points(x, T))[0])
+            assert (kept <= _BOUND_COLUMNS[Norm.LINF]) == narrow and kept < _BOUND_MIN_LEVELS
+            for norm in Norm:
+                bounded.clear()
+                detect(x, DetectorConfig(norm=norm))
+                want = narrow and norm is Norm.LINF and T >= _BOUND_MIN_LEVELS
+                assert bool(bounded) == want, (T, rate, norm)
+                assert all(e - s >= _BOUND_MIN_ROWS for s, e in bounded)
 
     def test_coarse_columns_are_table_columns(self):
         # counted from the ranks, without filling a row of the full table,
@@ -816,28 +883,26 @@ class TestRowBound:
 
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("stop", ["threshold", "bic"])
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_scan_matches_uncompressed(self, profiled, monkeypatch, norm, stop, ties):
-        # long enough for the bound (kept Q >= _BOUND_MIN_LEVELS and
-        # intervals of _BOUND_MIN_ROWS splits and more): byte for byte the
-        # scan without the bound and the uncompressed reference, with some
-        # intervals skipped on the bound and some profiled in part
-        bounded = []
-        call = CusumTable._coarse_bound
-
-        def counted(self, s, e, *args):
-            bounded.append((s, e))
-            return call(self, s, e, *args)
-
-        monkeypatch.setattr(CusumTable, "_coarse_bound", counted)
+    @pytest.mark.parametrize("ties", [False, True, "narrow"])
+    def test_scan_matches_uncompressed(self, profiled, bounded, monkeypatch, norm, stop, ties):
+        # long enough for the bound (kept Q >= _BOUND_MIN_LEVELS, or at most
+        # 16 kept levels under linf, and intervals of _BOUND_MIN_ROWS splits
+        # and more): byte for byte the scan without the bound and the
+        # uncompressed reference, with some intervals skipped on the bound
+        # and some profiled in part; l1 and l2 never bound a narrow window
         config = DetectorConfig(norm=norm, stop=stop, split=None)
+        unbounded = ties == "narrow" and norm != "linf"
         skipped = partial = 0
         for seed, T in enumerate((600, 800, 1000)):
-            x = steps(T, [T // 4, T // 2 + 37], seed)
-            x = tied(x) if ties else x
+            jumps = [T // 4, T // 2 + 37]
+            if ties == "narrow":
+                x = poisson_steps(T, jumps, seed)
+            else:
+                x = tied(steps(T, jumps, seed)) if ties else steps(T, jumps, seed)
             bounded.clear()
             profiled.clear()
             got = segment(x, config).to_dict()
+            assert bool(bounded) != unbounded
             long = [c for c in profiled if c[1] - c[0] >= _BOUND_MIN_ROWS]
             skipped += len(bounded) - len(long)
             partial += sum((lo, hi) != (s, e) for s, e, lo, hi in long)
@@ -849,7 +914,7 @@ class TestRowBound:
                 for key in ("scores", "removal_scores"):
                     np.testing.assert_allclose(got.pop(key) or [], want.pop(key) or [], rtol=1e-12)
             assert got == want
-        assert skipped > 0 and partial > 0
+        assert unbounded or (skipped > 0 and partial > 0)
 
 
 def test_first_calls_import_no_numpy_submodule():
