@@ -31,6 +31,7 @@ from .detector import (
 from .evaluation import Replication, StudyReport, hausdorff, largest_segment, replicate_study
 from .selector import (
     BicResult,
+    BicWindow,
     SolutionPath,
     bic_penalty,
     bic_select,

@@ -49,7 +49,7 @@ from .contrast import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .selector import BicResult, SolutionPath
+    from .selector import BicResult, BicWindow, SolutionPath
 
 __all__ = [
     "StopRule",
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # Version of the JSON documents the library and the command line write.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # Threshold constant per norm; l1's is the smallest multiple of 0.05 at or above
 # its no-change 95% quantile at T = 30..6000 (demos/06_null_calibration.py).
@@ -169,13 +169,16 @@ class DetectorConfig:
         Evaluation levels: ``"auto"`` (all ``T`` order statistics up to
         length 1000, 300 equally spaced ones beyond), ``"full"`` (all of
         them) or a number of equally spaced order statistics, capped at the
-        series length.
+        window length. ``"auto"`` reads the whole series' ``T``, so every
+        window of a series longer than 1000 points keeps 300 levels.
     split : int or None
         Window length (at least 2), 2000 by default; ``None`` disables
         splitting. A series of length ``T`` is cut into
         ``max(1, (T + split - split // 2) // split)`` windows of this
         length, the last ending at ``T``: a tail shorter than half a window
-        joins the last one.
+        joins the last one. Each window runs the whole rule at its own
+        length: the scan and its threshold, and under ``bic`` the sweep,
+        the solution path and the criterion.
 
     Validated numbers are stored as Python ``int``/``float``, so
     :meth:`to_dict` is JSON-ready.
@@ -247,6 +250,15 @@ class Segmentation:
     of integer ``length`` T >= 2; ``scores[k]`` is the aggregated contrast at
     which ``changepoints[k]`` was detected (the solution-path removal score
     for the bic pipeline). ``path`` and ``bic`` are populated by that one only.
+
+    A bic result over more than one window holds each window's own path and
+    criterion in ``windows``, in series positions, and merges them: ``path``
+    lists every window's kept prefix, window by window, then the rest of
+    every window's path, and ``bic`` keeps ``chosen_j`` = all kept
+    candidates, so ``bic.changepoints == path.model(bic.chosen_j)`` as for
+    one window. ``bic.scores[j]`` is the sum of the windows' criteria at
+    their shares of ``path.model(j)``, smallest at ``chosen_j``;
+    ``bic.penalty`` is ``None``, as each window has its own.
     """
 
     changepoints: tuple[int, ...]
@@ -256,6 +268,7 @@ class Segmentation:
     intervals_evaluated: int = 0
     path: "SolutionPath | None" = None
     bic: "BicResult | None" = None
+    windows: "tuple[BicWindow, ...]" = ()
 
     def __post_init__(self):
         if len(self.changepoints) != len(self.scores):
@@ -269,22 +282,37 @@ class Segmentation:
         return len(self.changepoints)
 
     def to_dict(self) -> dict:
-        """JSON-ready result: the ``detect`` document of ``SCHEMA_VERSION``."""
-        path, bic = self.path, self.bic
-        return {
+        """JSON-ready result: the ``detect`` document of ``SCHEMA_VERSION``.
+
+        It has ``windows``, one record per window, only when ``self.windows``
+        is not empty.
+        """
+        doc = {
             "schema": SCHEMA_VERSION,
             "length": self.length,
             "changepoints": list(self.changepoints),
             "scores": list(self.scores),
-            "solution_path": None if path is None else list(path.ordered),
-            "removal_scores": None if path is None else list(path.removal_scores),
-            "bic": None if bic is None else {
-                "chosen_j": bic.chosen_j,
-                "scores": list(bic.scores),
-                "penalty": bic.penalty,
-            },
-            "config": self.config.to_dict(),
+            **_path_fields(self.path, self.bic),
         }
+        if self.windows:
+            doc["windows"] = [
+                {"bounds": [w.start, w.stop], **_path_fields(w.path, w.bic)} for w in self.windows
+            ]
+        doc["config"] = self.config.to_dict()
+        return doc
+
+
+def _path_fields(path: "SolutionPath | None", bic: "BicResult | None") -> dict:
+    """The ``solution_path``, ``removal_scores`` and ``bic`` keys of a document."""
+    return {
+        "solution_path": None if path is None else list(path.ordered),
+        "removal_scores": None if path is None else list(path.removal_scores),
+        "bic": None if bic is None else {
+            "chosen_j": bic.chosen_j,
+            "scores": list(bic.scores),
+            "penalty": bic.penalty,
+        },
+    }
 
 
 def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
@@ -293,11 +321,33 @@ def _window_bounds(length: int, win: int) -> list[tuple[int, int]]:
     return [(i * win, (i + 1) * win) for i in range(count - 1)] + [((count - 1) * win, length)]
 
 
+def _windows(series: Series, config: DetectorConfig):
+    """``(offset, window, window config)`` for each window of ``config.split``.
+
+    A series that is one window comes back as it is, with ``config``. Longer
+    ones are cut at ``_window_bounds``, each window a ``Series`` of its slice
+    of the ranks (their min-ranks are the window's own ranks), and share one
+    config: ``split`` off, and ``grid="auto"`` resolved once from the
+    series' T, so every window of a series longer than ``FULL_EVAL_MAX``
+    points keeps ``DEFAULT_GRID_SIZE`` levels. A one-point tail window,
+    which a split of 2 or 3 can leave, has no split to test and is skipped.
+    """
+    T = len(series)
+    bounds = _window_bounds(T, config.split or T)
+    if len(bounds) == 1:
+        yield 0, series, config
+        return
+    if config.grid == "auto":
+        config = replace(config, grid="full" if T <= FULL_EVAL_MAX else DEFAULT_GRID_SIZE)
+    config = replace(config, split=None)
+    for lo, hi in bounds:
+        if hi - lo > 1:
+            yield lo, Series(series.ranks[lo:hi]), config
+
+
 def _detect_window(series: Series, config: DetectorConfig) -> tuple[dict, int]:
     """Run the scan on one window; returns {position: score} and a scan count."""
     T = len(series)
-    if T < 2:
-        return {}, 0
     eval_points = config.eval_points_for(series)
     Q = len(eval_points)  # the full-interval profile is the scan's largest
     _check_bytes("a scan profile", T, Q, (T - 1) * Q * 8)
@@ -360,8 +410,9 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
     """Estimate change-points with the thresholded expanding-interval scan.
 
     The series is cut into the windows ``config.split`` describes (one
-    window when ``split`` is ``None``), each detected independently, with
-    the window-local estimates offset back to global positions. Whatever
+    window when ``split`` is ``None``), each detected independently at the
+    series' one ``grid`` and its own threshold, with the window-local
+    estimates offset back to global positions. Whatever
     ``config.stop`` says, the scan stops on the threshold, and the result's
     config records that rule.
 
@@ -385,10 +436,8 @@ def detect(series, config: DetectorConfig | None = None) -> Segmentation:
 
     found: dict[int, float] = {}
     n_scanned = 0
-    for lo, hi in _window_bounds(T, config.split or T):
-        # min-ranks of the global ranks are the window's own ranks
-        window = series if hi - lo == T else Series(series.ranks[lo:hi])
-        sub_found, sub_scanned = _detect_window(window, config)
+    for lo, window, window_config in _windows(series, config):
+        sub_found, sub_scanned = _detect_window(window, window_config)
         for pos, score in sub_found.items():
             found[pos + lo] = score
         n_scanned += sub_scanned

@@ -33,11 +33,12 @@ from .contrast import (
     as_series,
     norm_value,
 )
-from .detector import DetectorConfig, Segmentation, StopRule, _config, detect
+from .detector import DetectorConfig, Segmentation, StopRule, _config, _windows, detect
 
 __all__ = [
     "SolutionPath",
     "BicResult",
+    "BicWindow",
     "overestimate",
     "solution_path",
     "st_likelihood",
@@ -80,12 +81,30 @@ class SolutionPath:
 
 @dataclass(frozen=True)
 class BicResult:
-    """Outcome of minimising the information criterion along a path."""
+    """Outcome of minimising the information criterion along a path.
+
+    ``penalty`` is ``None`` on a merged multi-window result (``Segmentation``).
+    """
 
     chosen_j: int
     scores: tuple[float, ...]
-    penalty: float
+    penalty: float | None
     changepoints: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class BicWindow:
+    """One window of a multi-window bic result, in series positions.
+
+    The window is the 0-based slice ``start:stop`` of the series; ``path``
+    and ``bic`` are its own solution path and criterion, computed on its
+    ranks at its length, with every position offset by ``start``.
+    """
+
+    start: int
+    stop: int
+    path: SolutionPath
+    bic: BicResult
 
 
 def overestimate(series, config: DetectorConfig | None = None) -> Segmentation:
@@ -112,9 +131,11 @@ def solution_path(series, candidates, config: DetectorConfig | None = None) -> S
     at most ``_ROW_BYTES // (8 Q)`` first-round triplets, so memory does not
     grow with J. The lowest-scoring candidate (the leftmost on ties) is
     removed and only its former neighbours are re-scored, in one call. The
-    returned ordering lists the last-removed candidate first. On the
-    candidates ``overestimate(series, config).changepoints`` it is
-    ``segment(...).path``.
+    returned ordering lists the last-removed candidate first. It runs on
+    the whole series it is given: on a series that is one window of
+    ``config.split``, at the candidates ``overestimate(series,
+    config).changepoints``, it is ``segment(...).path``; on a longer one,
+    ``segment`` runs it per window (``Segmentation.windows``).
     """
     series = as_series(series)
     config = _config(config)
@@ -259,27 +280,63 @@ def bic_select(series, path: SolutionPath) -> BicResult:
     return BicResult(chosen, tuple(scores), penalty, path.model(chosen))
 
 
+def _merged(windows: list[BicWindow]) -> tuple[SolutionPath, BicResult]:
+    """The series-wide path and criterion of per-window results (``Segmentation``)."""
+    order = [(i, k) for i, w in enumerate(windows) for k in range(w.bic.chosen_j)]
+    order += [(i, k) for i, w in enumerate(windows) for k in range(w.bic.chosen_j, len(w.path))]
+    path = SolutionPath(
+        tuple(windows[i].path.ordered[k] for i, k in order),
+        tuple(windows[i].path.removal_scores[k] for i, k in order),
+    )
+    # one window's share moves at a time: sum the others once per run of it
+    at = [w.bic.scores[0] for w in windows]  # each criterion at its share so far
+    scores, active = [math.fsum(at)], None
+    for i, k in order:
+        if i != active:
+            active, rest = i, math.fsum(at[:i] + at[i + 1 :])
+        at[i] = windows[i].bic.scores[k + 1]
+        scores.append(rest + at[i])
+    chosen = sum(w.bic.chosen_j for w in windows)
+    return path, BicResult(chosen, tuple(scores), None, path.model(chosen))
+
+
 def segment(series, config: DetectorConfig | None = None) -> Segmentation:
     """The pipeline: change-points of ``series`` under the rule ``config.stop``.
 
     ``threshold`` runs :func:`detect`; ``bic`` runs :func:`overestimate`,
-    :func:`solution_path` and :func:`bic_select`, and scores each change-point
-    by its removal score on the path. The result's config names the rule.
+    :func:`solution_path` and :func:`bic_select` on each window of
+    ``config.split``, at the window's length and on its ranks, with one
+    ``grid`` for every window, and scores each change-point by its removal
+    score on its path. A series of one window gets that window's path and
+    criterion; a longer one gets them per window in ``windows`` and merged
+    as ``Segmentation`` says. The result's config names the rule.
     """
     config = _config(config)
     if config.stop is StopRule.THRESHOLD:
         return detect(series, config)
     series = as_series(series)
-    over = overestimate(series, config)
-    path = solution_path(series, over.changepoints, config)
-    choice = bic_select(series, path)
+    records, n_scanned = [], 0
+    for lo, window, window_config in _windows(series, config):
+        over = overestimate(window, window_config)
+        path = solution_path(window, over.changepoints, window_config)
+        choice = bic_select(window, path)
+        n_scanned += over.intervals_evaluated
+        if lo:  # to series positions
+            path = SolutionPath(tuple(c + lo for c in path.ordered), path.removal_scores)
+            choice = replace(choice, changepoints=tuple(c + lo for c in choice.changepoints))
+        records.append(BicWindow(lo, lo + len(window), path, choice))
+    if len(records) == 1:
+        path, choice, records = records[0].path, records[0].bic, []
+    else:
+        path, choice = _merged(records)
     score_of = dict(zip(path.ordered, path.removal_scores))
     return Segmentation(
         changepoints=choice.changepoints,
         scores=tuple(score_of[c] for c in choice.changepoints),
         config=config,
         length=len(series),
-        intervals_evaluated=over.intervals_evaluated,
+        intervals_evaluated=n_scanned,
         path=path,
         bic=choice,
+        windows=tuple(records),
     )

@@ -118,7 +118,7 @@ class TestDetect:
         code, out, _ = run(capsys, "detect", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["changepoints"] == []
         assert payload["length"] == 200
         assert payload["bic"] is not None
@@ -484,13 +484,13 @@ class TestDetectJson:
         "removal_scores", "bic", "config", "runtime_ms",
     ]
 
-    def check(self, tmp_path, capsys, values, config, *flags):
+    def check(self, tmp_path, capsys, values, config, *flags, keys=KEYS):
         path = tmp_path / "x.csv"
         write_series(path, values)
         code, out, _ = run(capsys, "detect", str(path), *flags)
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == self.KEYS
+        assert list(payload) == keys
         assert payload.pop("runtime_ms") >= 0.0
         expected = segment(np.loadtxt(path), config).to_dict()
         assert payload == json.loads(json.dumps(expected))
@@ -500,7 +500,7 @@ class TestDetectJson:
         rng = np.random.default_rng(5)
         values = np.concatenate([rng.normal(0, 1, 70), rng.normal(4, 1, 70)])
         payload = self.check(tmp_path, capsys, values, DetectorConfig())
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["bic"]["chosen_j"] == len(payload["changepoints"])
         assert sorted(payload["solution_path"][: payload["bic"]["chosen_j"]]) == (
             payload["changepoints"]
@@ -515,6 +515,14 @@ class TestDetectJson:
         assert payload["solution_path"] is None
         assert payload["removal_scores"] is None
         assert payload["bic"] is None
+
+    def test_multi_window_document_lists_windows(self, tmp_path, capsys):
+        # T1(6000) runs bic in three windows of 2000, one record each
+        values = generate(ModelSpec("T1", 0, length=6000)).values
+        keys = [*self.KEYS[:7], "windows", *self.KEYS[7:]]
+        payload = self.check(tmp_path, capsys, values, DetectorConfig(), keys=keys)
+        assert payload["schema"] == 5 and len(payload["changepoints"]) == 199
+        assert [w["bounds"] for w in payload["windows"]] == [[0, 2000], [2000, 4000], [4000, 6000]]
 
 
 class TestOutputErrors:

@@ -32,6 +32,7 @@ from rankseg.detector import (
     DEFAULT_CONSTANTS,
     _interval_order,
     _window_bounds,
+    _windows,
 )
 from rankseg.simulate import ModelSpec, generate
 
@@ -49,7 +50,7 @@ def test_public_names():
     # the package's __all__ joins each module's own list; each name resolves
     import rankseg
 
-    assert len(rankseg.__all__) == len(set(rankseg.__all__)) == 30
+    assert len(rankseg.__all__) == len(set(rankseg.__all__)) == 31
     assert all(hasattr(rankseg, name) for name in rankseg.__all__)
 
 
@@ -214,6 +215,21 @@ class TestWindowBounds:
         cases += [(6000, 2000), (20_000, 2000), (10**7, 2000)]
         for T, win in cases:
             assert _window_bounds(T, win) == naive_window_bounds(T, win), (T, win)
+
+    def test_windows_share_the_series_grid(self):
+        # grid="auto" is resolved once from the series' T: 300 levels in the
+        # 1000-point tail of T = 3000 too, and all levels when T <= 1000
+        def windows(T, **overrides):
+            config = DetectorConfig(**overrides)
+            return [(lo, len(w), c.grid, c.split) for lo, w, c in _windows(Series(np.arange(T)), config)]
+
+        series = Series(np.arange(2999.0))
+        assert [(w, c) for _, w, c in _windows(series, THRESHOLD)] == [(series, THRESHOLD)]
+        assert windows(3000) == [(0, 2000, 300, None), (2000, 1000, 300, None)]
+        assert windows(1000, split=500) == [(0, 500, "full", None), (500, 500, "full", None)]
+        assert windows(3000, grid=50) == [(0, 2000, 50, None), (2000, 1000, 50, None)]
+        # the one-point tail of split 2 holds no split and is not yielded
+        assert windows(5, split=2) == [(0, 2, "full", None), (2, 2, "full", None)]
 
     def test_one_point_window_scans_nothing(self):
         # a one-point tail window has no split, so it adds no interval and no change

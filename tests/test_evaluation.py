@@ -219,7 +219,7 @@ class TestReplicateStudy:
     def test_report_serialises(self):
         report = replicate_study(ModelSpec("M1", 0), DetectorConfig(), reps=2)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert list(payload)[:6] == ["schema", "model", "length", "rate", "reps", "base_seed"]
         assert payload["model"] == "M1"
         assert payload["length"] is None and payload["rate"] is None

@@ -5,6 +5,10 @@ output of ``segment`` at seed 0. It was recorded at commit 77e6278 with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_segment.json
 
+Its ``T1(3000)`` and ``T2(3000)`` lines were re-recorded with the same
+command when the bic pipeline began to run per window (schema 5); the other
+lines were kept as recorded.
+
 The change-points, the solution path, ``chosen_j`` and
 ``intervals_evaluated`` must match exactly and every score within 1e-12
 relative, so a change meant to keep the outputs (a speed-up, a refactor)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,23 +102,29 @@ class TestStLikelihood:
             assert st_likelihood(x, bpts) == sorted_st_likelihood(x, bpts)
 
     def test_equals_sorted_oracle_on_every_path_prefix(self):
-        # every criterion score of segment, and st_likelihood on every path
-        # prefix, must equal the sorted oracle bit for bit
+        # every criterion score of each of segment's windows, and
+        # st_likelihood on every prefix of the window's path, must equal the
+        # sorted oracle on the window's values bit for bit
         series = generate(ModelSpec("T1", 0))
         seg = segment(series)
-        path = seg.path
-        assert len(path) > 50
-        penalty = bic_penalty(len(series))
-        for j in range(len(path) + 1):
-            bpts = path.model(j)
-            oracle = sorted_st_likelihood(series.values, bpts)
-            assert st_likelihood(series, bpts) == oracle
-            assert seg.bic.scores[j] == -oracle + j * penalty
+        assert [(w.start, w.stop, len(w.path)) for w in seg.windows] == [
+            (0, 2000, 66), (2000, 3000, 33)
+        ]
+        for w in seg.windows:
+            values = series.values[w.start : w.stop]
+            penalty = bic_penalty(len(values))
+            assert w.bic.penalty == penalty
+            for j in range(len(w.path) + 1):
+                bpts = [c - w.start for c in w.path.model(j)]
+                oracle = sorted_st_likelihood(values, bpts)
+                assert st_likelihood(values, bpts) == oracle
+                assert w.bic.scores[j] == -oracle + j * penalty
 
-    @pytest.mark.parametrize("length, terms", [(3000, 199), (6000, 399)])
+    @pytest.mark.parametrize("length, terms", [(3000, 200), (6000, 401)])
     def test_each_segment_term_computed_once_per_call(self, monkeypatch, length, terms):
         # each path prefix splits one segment of the previous prefix, so the
-        # criterion needs 2J+1 distinct terms; _xlogx runs twice per term
+        # criterion of a window with J candidates needs 2J+1 distinct terms;
+        # _xlogx runs twice per term
         calls = []
 
         def counting(p):
@@ -127,7 +134,7 @@ class TestStLikelihood:
         monkeypatch.setattr("rankseg.selector._xlogx", counting)
         x = generate(ModelSpec("T1", 0, length=length)).values
         seg = segment(x)
-        assert len(calls) == 2 * terms == 2 * (2 * len(seg.path) + 1)
+        assert len(calls) == 2 * terms == 2 * (2 * len(seg.path) + len(seg.windows))
         # a second call computes every term again: nothing is kept between calls
         assert segment(x).bic == seg.bic
         assert len(calls) == 4 * terms
@@ -383,7 +390,17 @@ class TestSolutionPath:
         assert sizes[0] == len(cands) and len(sizes) == len(cands) == calls
         assert sum(sizes) == triplets and max(sizes[1:]) <= 2
         monkeypatch.undo()
-        assert path == segment(series).path
+        # segment's path is solution_path's, on each window's own candidates
+        # and at the series' one grid: 300 levels in both windows of T1(3000)
+        seg = segment(series)
+        if not seg.windows:
+            assert path == seg.path
+        for w in seg.windows:
+            window = series.values[w.start : w.stop]
+            local = solution_path(window, [c - w.start for c in w.path.model(len(w.path))],
+                                  DetectorConfig(grid=300))
+            assert tuple(c + w.start for c in local.ordered) == w.path.ordered
+            assert local.removal_scores == w.path.removal_scores
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_batched_scores_equal_single_rows_on_ties(self, monkeypatch, norm):
@@ -520,3 +537,81 @@ class TestDetectBic:
         cfg = DetectorConfig()
         path = solution_path(series, overestimate(series, cfg).changepoints, cfg)
         assert bic.changepoints == bic_select(series, path).changepoints
+
+
+class TestWindowedBic:
+    """``segment`` runs the sweep, path and criterion on each window of ``split``."""
+
+    @pytest.mark.parametrize(
+        "length, seed, found", [(6000, 0, 199), (6000, 1, 199), (6000, 2, 199), (20_000, 0, 663)]
+    )
+    def test_t1_counts(self, length, seed, found):
+        # one criterion over the whole series kept 1, 1, 9 and 0: its penalty
+        # 0.5 log(T)^2.1 outgrows the gain of one T1 change above T ~ 3,700
+        series = generate(ModelSpec("T1", seed, length=length))
+        seg = segment(series)
+        truth = np.array(series.truth)
+        near = sum(int(np.abs(truth - c).min() <= 5) for c in seg.changepoints)
+        assert seg.n_changepoints == near == found
+
+    @pytest.mark.parametrize("length, seed", [(T, seed) for T in (6000, 20_000) for seed in range(3)])
+    def test_no_change_keeps_nothing(self, length, seed):
+        # each window is its own test; seeds 0-2 raise no false alarm at either T
+        series = generate(ModelSpec("NOCHANGE_GAUSS", seed, length=length))
+        assert segment(series).changepoints == ()
+
+    @pytest.mark.parametrize("stop", ["threshold", "bic"])
+    def test_both_windows_of_t3000_scan_300_levels(self, monkeypatch, stop):
+        # grid="auto" reads the series' T = 3000, so the 1000-point tail
+        # window keeps 300 levels, not all 1000 of its own
+        tables = []
+        init = CusumTable.__init__
+
+        def spy(table, series, eval_points, *args, **kwargs):
+            tables.append((len(series), len(eval_points)))
+            init(table, series, eval_points, *args, **kwargs)
+
+        monkeypatch.setattr(CusumTable, "__init__", spy)
+        segment(generate(ModelSpec("T1", 0, length=3000)), DetectorConfig(stop=stop))
+        assert sorted(set(tables)) == [(1000, 300), (2000, 300)]
+
+    def test_merged_path_and_criterion(self):
+        # T2(6000) drops candidates in every window, so the merge reorders
+        series = generate(ModelSpec("T2", 0, length=6000))
+        seg = segment(series)
+        assert [(w.start, w.stop) for w in seg.windows] == [(0, 2000), (2000, 4000), (4000, 6000)]
+        kept = [c for w in seg.windows for c in w.path.ordered[: w.bic.chosen_j]]
+        rest = [c for w in seg.windows for c in w.path.ordered[w.bic.chosen_j :]]
+        assert kept and rest
+        assert seg.path.ordered == tuple(kept + rest)
+        assert (seg.bic.chosen_j, seg.bic.penalty) == (len(kept), None)
+        assert seg.changepoints == seg.bic.changepoints == seg.path.model(len(kept))
+        assert int(np.argmin(seg.bic.scores)) == seg.bic.chosen_j
+        for j in (0, len(kept), len(seg.path)):
+            shares = [len(set(w.path.ordered) & set(seg.path.ordered[:j])) for w in seg.windows]
+            want = math.fsum(w.bic.scores[n] for w, n in zip(seg.windows, shares))
+            assert seg.bic.scores[j] == pytest.approx(want, rel=1e-12, abs=0)
+        # each window is the one-window pipeline on its slice, at 300 levels
+        scanned = 0
+        for w in seg.windows:
+            alone = segment(series.values[w.start : w.stop], DetectorConfig(grid=300))
+            assert tuple(c + w.start for c in alone.path.ordered) == w.path.ordered
+            assert alone.path.removal_scores == w.path.removal_scores
+            assert alone.bic == replace(w.bic, changepoints=alone.changepoints)
+            assert tuple(c + w.start for c in alone.changepoints) == w.bic.changepoints
+            scanned += alone.intervals_evaluated
+        assert seg.intervals_evaluated == scanned
+
+    def test_document_lists_windows(self):
+        seg = segment(generate(ModelSpec("T1", 0, length=6000)))
+        doc = json.loads(json.dumps(seg.to_dict()))
+        assert doc["schema"] == 5 and doc["bic"]["penalty"] is None
+        assert [w["bounds"] for w in doc["windows"]] == [[0, 2000], [2000, 4000], [4000, 6000]]
+        for record, w in zip(doc["windows"], seg.windows):
+            assert record["solution_path"] == list(w.path.ordered)
+            assert record["removal_scores"] == list(w.path.removal_scores)
+            assert record["bic"] == {
+                "chosen_j": w.bic.chosen_j, "scores": list(w.bic.scores), "penalty": w.bic.penalty
+            }
+        # a series of one window has no windows key
+        assert "windows" not in segment(generate(ModelSpec("T1", 0, length=2999))).to_dict()
